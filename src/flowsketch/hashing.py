@@ -9,12 +9,29 @@ cuckoo-table index, so the hot insert path hashes each key once.
 """
 
 import hashlib
+import struct
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
+_DIGEST = struct.Struct("<QHI")  # bucket hash, fingerprint, index hash
+_BANK = struct.Struct("<QB")     # index hash, sign byte
 
 
-def _seed_bytes(seed: int) -> bytes:
-    return (seed & _MASK64).to_bytes(8, "little")
+def _keyed(key: int, digest_size: int):
+    return hashlib.blake2b(digest_size=digest_size, key=(key & _MASK64).to_bytes(8, "little"))
+
+
+# Keyed blake2b states, built once per seed and copied per call; the
+# digest equals blake2b(data, key=...) in one shot. Callers only copy()
+# a template, never update it, so sharing one across threads is safe.
+@lru_cache(maxsize=256)
+def _digest_template(seed: int):
+    return _keyed(seed, 16)
+
+
+@lru_cache(maxsize=256)
+def _bank_template(bank_key: int):
+    return _keyed(bank_key, 9)
 
 
 def key_digest(key: bytes, seed: int) -> tuple[int, int, int]:
@@ -27,11 +44,10 @@ def key_digest(key: bytes, seed: int) -> tuple[int, int, int]:
         empty-slot marker, so a zero fingerprint is remapped to 1)
       index_hash:  32-bit value for the cuckoo table's primary bucket
     """
-    d = hashlib.blake2b(key, digest_size=16, key=_seed_bytes(seed)).digest()
-    bucket_hash = int.from_bytes(d[0:8], "little")
-    fingerprint = int.from_bytes(d[8:10], "little") or 1
-    index_hash = int.from_bytes(d[10:14], "little")
-    return bucket_hash, fingerprint, index_hash
+    h = _digest_template(seed).copy()
+    h.update(key)
+    bucket_hash, fingerprint, index_hash = _DIGEST.unpack_from(h.digest())
+    return bucket_hash, fingerprint or 1, index_hash
 
 
 def bank_hash(key: bytes, seed: int, bank: int) -> tuple[int, int]:
@@ -40,12 +56,10 @@ def bank_hash(key: bytes, seed: int, bank: int) -> tuple[int, int]:
     Returns (index_hash, sign) where sign is +1 or -1; the sign stream
     is independent of the index bits.
     """
-    d = hashlib.blake2b(
-        key, digest_size=9, key=_seed_bytes(seed * 0x9E3779B97F4A7C15 + bank + 1)
-    ).digest()
-    idx = int.from_bytes(d[0:8], "little")
-    sign = 1 if d[8] & 1 else -1
-    return idx, sign
+    h = _bank_template(seed * 0x9E3779B97F4A7C15 + bank + 1).copy()
+    h.update(key)
+    idx, sign_byte = _BANK.unpack(h.digest())
+    return idx, 1 if sign_byte & 1 else -1
 
 
 def mix16(fp: int) -> int:

@@ -14,9 +14,7 @@ total drifts closer to a different center, so the final state matches
 a one-shot insertion of per-flow totals.
 """
 
-import math
 import struct
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +22,7 @@ import numpy as np
 from .clustering import ClusterModel, InvalidInputError, allocate_buckets, nearest_center
 from .hashing import key_digest
 from .membership import CuckooTable
+from .metrics import entropy_of_values
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
 
@@ -39,6 +38,12 @@ class BucketUnderflowError(RuntimeError):
     candidate buckets, so their running totals were merged; the caller
     may treat the flows as merged and continue.
     """
+
+
+def changed_keys(before: dict, after: dict, keys, threshold: float) -> list[bytes]:
+    """Keys, in order, whose estimates in the two estimates() maps differ
+    by more than threshold; a key missing from a map counts as 0 there."""
+    return [k for k in keys if abs(after.get(k, 0.0) - before.get(k, 0.0)) > threshold]
 
 
 class LssSketch:
@@ -141,29 +146,56 @@ class LssSketch:
 
     # -- queries ---------------------------------------------------------
 
-    def _locate(self, key: bytes):
+    def _bucket(self, key: bytes) -> tuple[int, int] | None:
+        """(val_sum, key_count) of the key's bucket, from one hash and one
+        membership probe. None when the fingerprint is absent, or when a
+        foreign fingerprint matched and the key's own bucket is empty."""
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
         hit = self.membership._lookup_fp(fp, idx_h & self.membership._mask)
         if hit is None:
-            raise KeyNotFoundError(f"key {key!r} was never inserted")
+            return None
         i = hit.cluster_index
-        return i, bucket_h % self.allocation[i]
+        slot = bucket_h % self.allocation[i]
+        count = self._key_counts[i][slot]
+        if count == 0:
+            return None
+        return self._val_sums[i][slot], count
+
+    def _held_bucket(self, key: bytes) -> tuple[int, int]:
+        found = self._bucket(key)
+        if found is None:
+            raise KeyNotFoundError(f"key {key!r} is not held: its fingerprint is absent "
+                                   "or maps to an empty bucket")
+        return found
 
     def query_exact(self, key: bytes) -> Fraction:
         """Bucket average as an exact rational."""
-        i, slot = self._locate(key)
-        count = self._key_counts[i][slot]
-        if count == 0:
-            raise KeyNotFoundError(f"key {key!r} maps to an empty bucket")
-        return Fraction(self._val_sums[i][slot], count)
+        return Fraction(*self._held_bucket(key))
 
     def query(self, key: bytes) -> float:
         """Estimated flow total: the val_sum/key_count bucket average."""
-        return float(self.query_exact(key))
+        val_sum, count = self._held_bucket(key)
+        return val_sum / count
 
     def contains(self, key: bytes) -> bool:
-        _, fp, idx_h = key_digest(key, self.hash_seed)
-        return self.membership._lookup_fp(fp, idx_h & self.membership._mask) is not None
+        """True when query(key) answers: the key's fingerprint is held
+        and its bucket is not empty."""
+        return self._bucket(key) is not None
+
+    def _held(self, keys):
+        for k in keys:
+            found = self._bucket(k)
+            if found is not None:
+                yield k, found
+
+    def estimates(self, keys) -> dict[bytes, float]:
+        """Estimates of the keys this sketch holds, in first-seen order;
+        keys that query() would reject are left out."""
+        return {k: val_sum / count for k, (val_sum, count) in self._held(keys)}
+
+    def exact_estimates(self, keys) -> dict[bytes, Fraction]:
+        """estimates() as exact rationals."""
+        return {k: Fraction(val_sum, count) for k, (val_sum, count) in self._held(keys)}
 
     def cardinality(self) -> int:
         """Exact distinct-flow count: the sum of all key_count fields."""
@@ -178,33 +210,28 @@ class LssSketch:
         return [self.query(k) for k in keys]
 
     def entropy(self, keys) -> float:
-        """Base-2 entropy of the distribution of estimated sizes."""
+        """Base-2 entropy of the distribution of estimated sizes, grouped
+        by exact value."""
         keys = list(keys)
         if not keys:
             raise InvalidInputError("entropy needs at least one key")
-        counts = Counter(self.query_exact(k) for k in keys)
-        n = len(keys)
-        return -sum((c / n) * math.log2(c / n) for c in counts.values())
+        return entropy_of_values(self.query_exact(k) for k in keys)
 
     def heavy_hitters(self, keys, threshold: float) -> list[tuple[bytes, float]]:
-        """Keys whose estimate exceeds threshold, largest first."""
+        """Held keys whose estimate exceeds threshold, largest first."""
         if threshold < 0:
             raise InvalidInputError("threshold must be non-negative")
-        hits = [(k, self.query(k)) for k in keys]
-        hits = [(k, e) for k, e in hits if e > threshold]
+        keys = list(keys)
+        ests = self.estimates(keys)
+        hits = [(k, ests[k]) for k in keys if k in ests and ests[k] > threshold]
         hits.sort(key=lambda ke: (-ke[1], ke[0]))
         return hits
 
     def heavy_changes(self, other: "LssSketch", keys, threshold: float) -> list[bytes]:
         """Keys whose estimates differ across the two sketches by more
-        than threshold; a key missing from one window counts as 0 there."""
-        changed = []
-        for k in keys:
-            a = self.query(k) if self.contains(k) else 0.0
-            b = other.query(k) if other.contains(k) else 0.0
-            if abs(a - b) > threshold:
-                changed.append(k)
-        return changed
+        than threshold; a key one window does not hold counts as 0 there."""
+        keys = list(keys)
+        return changed_keys(other.estimates(keys), self.estimates(keys), keys, threshold)
 
     # -- accounting and serialization -------------------------------------
 
@@ -301,13 +328,12 @@ class LssSketch:
         )
         sketch = cls(model, m, hash_seed=hash_seed, counter_width=width,
                      membership=membership, allocation=allocation)
+        vals, counts = flat[0::2], flat[1::2]
         pos = 0
-        for i in range(k):
-            size = allocation[i]
-            for s in range(size):
-                sketch._val_sums[i][s] = flat[2 * pos]
-                sketch._key_counts[i][s] = flat[2 * pos + 1]
-                pos += 1
+        for i, size in enumerate(allocation):
+            sketch._val_sums[i] = list(vals[pos:pos + size])
+            sketch._key_counts[i] = list(counts[pos:pos + size])
+            pos += size
         sketch.saturated = bool(flags & cls._FLAG_SATURATED)
         return sketch
 

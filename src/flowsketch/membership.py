@@ -14,6 +14,8 @@ import struct
 from array import array
 from collections import namedtuple
 
+import numpy as np
+
 from .hashing import key_digest, mix16
 
 SLOTS_PER_BUCKET = 4
@@ -233,5 +235,5 @@ class CuckooTable:
         else:
             table._vals = array("Q")
             table._vals.frombytes(data[off:off + 8 * nslots])
-        table.occupied = sum(1 for f in table._fps if f)
+        table.occupied = int(np.count_nonzero(np.frombuffer(table._fps, dtype=np.uint16)))
         return table

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .bus import TopicBus, TopicClosed
 from .clustering import ClusterModel, InvalidInputError
-from .lss import BucketUnderflowError, LssSketch
+from .lss import BucketUnderflowError, LssSketch, changed_keys
 from .membership import TableFullError
+from .metrics import entropy_of_values
 
 log = logging.getLogger(__name__)
 
@@ -299,7 +300,9 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     params["threshold"]. Cardinalities sum across windows, heavy hitters
     union (a flow seen in several windows reports every estimate),
     entropies stay per window, and heavy changes compare consecutive
-    windows of the same source.
+    windows of the same source. Per-flow tasks skip a key in a window
+    that does not hold it, including a key whose fingerprint matches a
+    foreign one on an empty bucket; heavy changes count it as 0 there.
     """
     params = params or {}
     if task not in QUERY_TASKS:
@@ -318,19 +321,17 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     if task == "flow-size":
         sizes = {}
         for e in envelopes:
-            sketch = e.sketch()
-            sizes[f"{e.source}/{e.window_id}"] = {
-                k.hex(): sketch.query(k) for k in keys if sketch.contains(k)
-            }
+            ests = e.sketch().estimates(keys)
+            sizes[f"{e.source}/{e.window_id}"] = {k.hex(): est for k, est in ests.items()}
         report["per_window"] = sizes
         return report
     if task == "entropy":
         ent = {}
         for e in envelopes:
-            sketch = e.sketch()
-            present = [k for k in keys if sketch.contains(k)]
-            if present:
-                ent[f"{e.source}/{e.window_id}"] = sketch.entropy(present)
+            exact = e.sketch().exact_estimates(keys)
+            sizes = [exact[k] for k in keys if k in exact]
+            if sizes:
+                ent[f"{e.source}/{e.window_id}"] = entropy_of_values(sizes)
         report["per_window"] = ent
         return report
 
@@ -340,23 +341,25 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     if task == "heavy-hitters":
         union: dict[str, list] = {}
         for e in envelopes:
-            sketch = e.sketch()
-            present = [k for k in keys if sketch.contains(k)]
-            for k, est in sketch.heavy_hitters(present, threshold):
+            for k, est in e.sketch().heavy_hitters(keys, threshold):
                 union.setdefault(k.hex(), []).append(
                     {"window": f"{e.source}/{e.window_id}", "estimate": est})
         report["hitters"] = union
         return report
-    # heavy-changes: consecutive windows per source
+    # heavy-changes: consecutive windows per source, each decoded once
     by_source: dict[str, list[SketchEnvelope]] = {}
     for e in envelopes:
         by_source.setdefault(e.source, []).append(e)
     changes = {}
     for source, envs in by_source.items():
+        if len(envs) < 2:
+            continue
         envs.sort(key=lambda e: e.window_id)
-        for prev, cur in zip(envs, envs[1:]):
-            changed = cur.sketch().heavy_changes(prev.sketch(), keys, threshold)
-            changes[f"{source}/{prev.window_id}->{cur.window_id}"] = [k.hex() for k in changed]
+        ests = [e.sketch().estimates(keys) for e in envs]
+        for j in range(1, len(envs)):
+            changed = changed_keys(ests[j - 1], ests[j], keys, threshold)
+            changes[f"{source}/{envs[j - 1].window_id}->{envs[j].window_id}"] = [
+                k.hex() for k in changed]
     report["changes"] = changes
     return report
 

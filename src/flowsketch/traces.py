@@ -126,7 +126,7 @@ def generate_packets(seed: int, n_flows: int, zipf_s: float, mean_packets: float
         else:
             cuts = np.array([], dtype=np.int64)
         bounds = np.concatenate(([0], cuts, [size]))
-        per_flow.append(list(np.diff(bounds).astype(int)))
+        per_flow.append(np.diff(bounds).tolist())
     packets = _interleave(rng, per_flow, keys, concurrency=concurrency)
     totals = {keys[i]: int(sizes[i]) for i in range(n_flows)}
     return packets, totals

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch.baselines import DenseMapping, autoencoder_oracle
 from flowsketch.clustering import ClusterModel, InvalidInputError
 from flowsketch.hashing import key_digest
 from flowsketch.lss import BucketUnderflowError, KeyNotFoundError, LssSketch
+from flowsketch.membership import CuckooTable
+from flowsketch.traces import generate_packets
 
 
 def two_center_model(lo=15.0, hi=80.0):
@@ -42,6 +46,24 @@ def keys_for_slots(m, wanted, seed, salt=""):
                 out.append(key)
                 break
     return out
+
+
+def foreign_fingerprint_sketch(seed=13, m=64):
+    """A sketch holding one key in a one-bucket membership table, plus a
+    key never inserted whose fingerprint matches the held one and whose
+    own bucket is empty."""
+    sketch = LssSketch(single_cluster_model(), m, hash_seed=seed,
+                       membership=CuckooTable(num_buckets=1, seed=seed))
+    held = b"held"
+    sketch.insert(held, 5)
+    held_h, held_fp, _ = key_digest(held, seed)
+    i = 0
+    while True:
+        key = f"foreign-{i}".encode()
+        bucket_h, fp, _ = key_digest(key, seed)
+        if fp == held_fp and bucket_h % m != held_h % m:
+            return sketch, held, key
+        i += 1
 
 
 class TestConstruction:
@@ -255,6 +277,54 @@ class TestQueryTasks:
         assert set(b.heavy_changes(a, keys, 0.0)) == {b"new"}
 
 
+class TestSingleLookup:
+    def build(self):
+        rng = np.random.default_rng(52)
+        sketch = LssSketch(uniform_model(5), 40, hash_seed=29, expected_flows=256)
+        inserted = [f"h{i}".encode() for i in range(150)]
+        for key in inserted:
+            for _ in range(int(rng.integers(1, 4))):
+                try:
+                    sketch.insert_duplicate(key, int(rng.integers(0, 60)))
+                except BucketUnderflowError:
+                    pass
+        return sketch, inserted + [f"absent{i}".encode() for i in range(150)]
+
+    def test_estimates_match_per_key_queries(self):
+        sketch, keys = self.build()
+        reference = {}
+        for k in keys:
+            try:
+                reference[k] = sketch.query(k)
+            except KeyNotFoundError:
+                pass
+        assert reference
+        assert sketch.estimates(keys) == reference
+        assert list(sketch.estimates(keys)) == list(reference)
+        assert sketch.exact_estimates(keys) == {k: sketch.query_exact(k) for k in reference}
+        assert {k for k in keys if sketch.contains(k)} == set(reference)
+
+    def test_query_equals_exact_fraction(self):
+        sketch, keys = self.build()
+        for k, est in sketch.estimates(keys).items():
+            assert est == float(sketch.query_exact(k))
+            assert type(est) is float
+
+    def test_foreign_fingerprint_on_empty_bucket(self):
+        sketch, held, foreign = foreign_fingerprint_sketch()
+        # the membership table alone cannot tell the two keys apart
+        assert sketch.membership.lookup(foreign) is not None
+        assert not sketch.contains(foreign)
+        with pytest.raises(KeyNotFoundError):
+            sketch.query(foreign)
+        with pytest.raises(KeyNotFoundError):
+            sketch.query_exact(foreign)
+        assert sketch.estimates([held, foreign]) == {held: 5.0}
+        assert sketch.heavy_hitters([held, foreign], 1) == [(held, 5.0)]
+        empty = LssSketch(single_cluster_model(), 64, hash_seed=13)
+        assert sketch.heavy_changes(empty, [held, foreign], 1) == [held]
+
+
 class TestStatisticalProperties:
     def test_average_estimator_unbiased(self):
         # values i.i.d. in one cluster; signed error centered on zero
@@ -307,8 +377,8 @@ class TestStatisticalProperties:
             sketch.insert(key, v)
             truth[key] = v
         for key, v in truth.items():
-            i, slot = sketch._locate(key)
-            if sketch._key_counts[i][slot] == 1:
+            _val_sum, key_count = sketch._bucket(key)
+            if key_count == 1:
                 assert sketch.query(key) == float(v)
 
 
@@ -362,3 +432,46 @@ class TestSerialization:
         assert back.total_value() == 5
         with pytest.raises(KeyNotFoundError):
             back.query(b"k")
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.sampled_from((16, 32, 64)),
+           with_membership=st.booleans(),
+           squeeze=st.booleans(),
+           k=st.integers(1, 4),
+           records=st.lists(st.tuples(st.integers(0, 25), st.integers(0, 1000)), max_size=40))
+    def test_to_bytes_from_bytes(self, width, with_membership, squeeze, k, records):
+        # 40 records of at most 1000 stay inside a 16-bit counter
+        sketch = LssSketch(uniform_model(k), 12, hash_seed=31, counter_width=width,
+                           expected_flows=64)
+        for i, v in records:
+            try:
+                sketch.insert_duplicate(f"p{i}".encode(), v)
+            except BucketUnderflowError:
+                pass
+        if squeeze:
+            sketch.membership.squeeze()
+        blob = sketch.to_bytes(include_membership=with_membership)
+        back = LssSketch.from_bytes(blob)
+        assert back.state() == sketch.state()
+        assert not back.saturated
+        assert back.to_bytes(include_membership=with_membership) == blob
+        if with_membership:
+            assert back.membership.occupied == sketch.membership.occupied
+            assert back.membership.squeezed == squeeze
+
+
+class TestPythonIntState:
+    def test_generated_trace_keeps_python_ints(self):
+        packets, _ = generate_packets(3, 300, 1.1, 4.0)
+        assert all(type(p.size_bytes) is int for p in packets)
+        sketch = LssSketch(uniform_model(4), 40, hash_seed=3, expected_flows=512)
+        for p in packets:
+            try:
+                sketch.insert_duplicate(p.key, p.size_bytes)
+            except BucketUnderflowError:
+                pass
+        assert sketch.cardinality() > 0
+        assert all(type(v) is int and type(c) is int
+                   for buckets in sketch.state() for v, c in buckets)

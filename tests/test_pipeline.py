@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from flowsketch.clustering import ClusterModel, InvalidInputError
+from flowsketch.hashing import key_digest
+from flowsketch.lss import LssSketch
+from flowsketch.membership import CuckooTable
 from flowsketch.pipeline import (
     FlowRecord,
     IngestStage,
@@ -253,6 +256,71 @@ class TestNetworkWideQuery:
             network_wide_query(store, 0, 1, "flow-size")
         with pytest.raises(InvalidInputError):
             network_wide_query(store, 0, 1, "heavy-hitters", {"keys": []})
+
+
+class TestForeignFingerprint:
+    """A window whose membership table matches a key's fingerprint, where
+    the key itself was never inserted and its bucket is empty."""
+
+    SEED = 21
+    M = 16
+
+    def fill_store(self, tmp_path):
+        model = ClusterModel(centers=(10.0,), entropy=(0.0,), weight=(1.0,), density=(1.0,))
+        # one membership bucket, so a fingerprint match alone is a hit
+        first = LssSketch(model, self.M, hash_seed=self.SEED,
+                          membership=CuckooTable(num_buckets=1, seed=self.SEED))
+        held = b"held"
+        first.insert(held, 5)
+        held_h, held_fp, _ = key_digest(held, self.SEED)
+        i = 0
+        while True:
+            foreign = f"foreign-{i}".encode()
+            bucket_h, fp, _ = key_digest(foreign, self.SEED)
+            if fp == held_fp and bucket_h % self.M != held_h % self.M:
+                break
+            i += 1
+        second = LssSketch(model, self.M, hash_seed=self.SEED, expected_flows=64)
+        second.insert(held, 5)
+        second.insert(foreign, 40)
+        store = SketchStore(str(tmp_path / "store"))
+        for wid, sketch in enumerate((first, second)):
+            sketch.membership.squeeze()
+            store.put(SketchEnvelope(payload=sketch.to_bytes(), source="src-a", window_id=wid,
+                                     window_start=wid, window_end=wid,
+                                     arrival_ts=100 * (wid + 1)))
+        return store, held, foreign
+
+    def test_per_key_tasks_skip_the_key(self, tmp_path):
+        store, held, foreign = self.fill_store(tmp_path)
+        params = {"keys": [held, foreign], "threshold": 20}
+
+        def query(task):
+            return network_wide_query(store, 0, 10_000, task, params)
+
+        assert query("flow-size")["per_window"] == {
+            "src-a/0": {held.hex(): 5.0},
+            "src-a/1": {held.hex(): 5.0, foreign.hex(): 40.0},
+        }
+        entropy = query("entropy")["per_window"]
+        assert entropy["src-a/0"] == 0.0 and entropy["src-a/1"] == pytest.approx(1.0)
+        assert query("heavy-hitters")["hitters"] == {
+            foreign.hex(): [{"window": "src-a/1", "estimate": 40.0}]}
+        assert query("heavy-changes")["changes"] == {"src-a/0->1": [foreign.hex()]}
+
+    def test_each_window_decoded_once(self, tmp_path, monkeypatch):
+        store, held, foreign = self.fill_store(tmp_path)
+        decoded = []
+        real = LssSketch.from_bytes.__func__
+
+        def counting(cls, data):
+            decoded.append(len(data))
+            return real(cls, data)
+
+        monkeypatch.setattr(LssSketch, "from_bytes", classmethod(counting))
+        network_wide_query(store, 0, 10_000, "heavy-changes",
+                           {"keys": [held, foreign], "threshold": 20})
+        assert len(decoded) == 2
 
 
 class TestEndToEnd:
