@@ -19,13 +19,12 @@ from .clustering import (
     train_model,
 )
 from .lss import BucketUnderflowError, KeyNotFoundError, LssSketch
-from .membership import CuckooTable, NotFoundError, TableFullError
+from .membership import CuckooTable, TableFullError
 from .metrics import GroundTruth, f1_score, relative_error
 from .pipeline import (
     FlowletBatch,
     FlowRecord,
     IngestStage,
-    Packet,
     SketchEnvelope,
     SketchingStage,
     SketchStore,
@@ -34,6 +33,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .bus import TopicBus, TopicClosed
+from .traces import TracePacket
 
 __version__ = "0.1.0"
 
@@ -52,14 +52,13 @@ __all__ = [
     "InvalidInputError",
     "KeyNotFoundError",
     "LssSketch",
-    "NotFoundError",
-    "Packet",
     "SketchEnvelope",
     "SketchStore",
     "SketchingStage",
     "TableFullError",
     "TopicBus",
     "TopicClosed",
+    "TracePacket",
     "WindowConfig",
     "allocate_buckets",
     "autoencoder_oracle",

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .clustering import int_value
 from .hashing import bank_hash
 
 
@@ -39,6 +40,7 @@ class CmSketch:
         self.banks = [[0] * self.width for _ in range(c)]
 
     def insert(self, key: bytes, value: int) -> None:
+        value = int_value(value)
         if value < 0:
             raise ValueError("values must be non-negative")
         for j in range(self.c):
@@ -75,6 +77,7 @@ class CsSketch:
         self.banks = [[0] * self.width for _ in range(c)]
 
     def insert(self, key: bytes, value: int) -> None:
+        value = int_value(value)
         if value < 0:
             raise ValueError("values must be non-negative")
         for j in range(self.c):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import CmSketch, CsSketch
 from .clustering import InvalidInputError, train_model
-from .lss import BucketUnderflowError, LssSketch
+from .lss import BucketUnderflowError, LssSketch, sketch_bytes
 from .metrics import GroundTruth, entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
 
@@ -173,15 +173,13 @@ def _run_window(config: BenchmarkConfig, model, m: int, k: int,
     # the clustered sketch's bucket arrays plus centers, and totals
     # including membership agree to within one bucket
     sketches = {}
+    sketch_budget = sketch_bytes(m, k, config.counter_width)
+    membership_bytes = 0
     if "lss" in config.sketches:
         sketches["lss"] = LssSketch(model, m, hash_seed=config.seed,
                                     counter_width=config.counter_width,
                                     expected_flows=config.window)
-        sketch_budget = sketches["lss"].sketch_bytes()
         membership_bytes = sketches["lss"].memory_bytes() - sketch_budget
-    else:
-        sketch_budget = m * 2 * (config.counter_width // 8) + k * 4
-        membership_bytes = 0
     counter_bytes = config.counter_width // 8
     per_bank = max(1, round(sketch_budget / (config.banks * counter_bytes)))
     m_flat = config.banks * per_bank
@@ -368,40 +366,29 @@ def report_table(report: dict) -> str:
 
 
 SENSITIVITY_AXES = ("clusters", "ratio", "threshold", "epochs", "policy")
+# axis -> (default values, series key, cast, config override for a value)
+_SWEEPS = {
+    "clusters": ((2, 5, 10, 30, 60), "clusters", int, lambda v: {"clusters": v}),
+    "ratio": ((0.001, 0.01, 0.1), "ratio", float, lambda v: {"ratios": (v,)}),
+    "threshold": ((80, 90, 95, 99), "percentile", float, lambda v: {"hh_percentile": v}),
+    "policy": (("hdw", "dw", "hw", "hd", "uniform"), "policy", str,
+               lambda v: {"allocation_policy": v}),
+}
 
 
 def run_sensitivity(config: BenchmarkConfig, axis: str, values=None) -> dict:
     """Sweep one knob, holding everything else at the config defaults."""
     if axis not in SENSITIVITY_AXES:
         raise InvalidInputError(f"unknown axis {axis!r}; expected one of {SENSITIVITY_AXES}")
+    if axis == "epochs":  # reuse the first epoch's model on later epochs
+        return {"axis": axis, "series": _epoch_series(config, values or tuple(range(1, 9)))}
+    defaults, label, cast, override = _SWEEPS[axis]
     series = []
-    if axis == "clusters":
-        values = values or (2, 5, 10, 30, 60)
-        for k in values:
-            sub = _with(config, clusters=int(k), sketches=("lss",))
-            rep = run_benchmark(sub)
-            series.append({"clusters": int(k), **_lss_summary(rep)})
-    elif axis == "ratio":
-        values = values or (0.001, 0.01, 0.1)
-        for r in values:
-            sub = _with(config, ratios=(float(r),), sketches=("lss",))
-            rep = run_benchmark(sub)
-            series.append({"ratio": float(r), **_lss_summary(rep)})
-    elif axis == "threshold":
-        values = values or (80, 90, 95, 99)
-        for p in values:
-            sub = _with(config, hh_percentile=float(p), sketches=("lss",))
-            rep = run_benchmark(sub)
-            series.append({"percentile": float(p), **_lss_summary(rep)})
-    elif axis == "policy":
-        values = values or ("hdw", "dw", "hw", "hd", "uniform")
-        for policy in values:
-            sub = _with(config, allocation_policy=str(policy), sketches=("lss",))
-            rep = run_benchmark(sub)
-            series.append({"policy": str(policy), **_lss_summary(rep)})
-    else:  # epochs: reuse the first epoch's model on later epochs
-        values = values or tuple(range(1, 9))
-        series = _epoch_series(config, values)
+    for v in values or defaults:
+        v = cast(v)
+        rep = run_benchmark(_with(config, sketches=("lss",), **override(v)))
+        row = next(r for r in rep["rows"] if r["sketch"] == "lss")
+        series.append({label: v, **_lss_summary(row)})
     return {"axis": axis, "series": series}
 
 
@@ -411,8 +398,7 @@ def _with(config: BenchmarkConfig, **overrides) -> BenchmarkConfig:
     return BenchmarkConfig(**base)
 
 
-def _lss_summary(report: dict) -> dict:
-    row = next(r for r in report["rows"] if r["sketch"] == "lss")
+def _lss_summary(row: dict) -> dict:
     return {
         "mean_re": row["flow_size"]["mean_re"],
         "entropy_re": row["entropy_re"],
@@ -445,19 +431,9 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
                 pass
         row = _evaluate("lss", sketch.query, truth,
                         sketch.memory_bytes(), hh_threshold)
-        series.append({
-            "epoch": int(epoch),
-            "mean_re": row["flow_size"]["mean_re"],
-            "entropy_re": row["entropy_re"],
-            "hh_f1": row["heavy_hitters"]["f1"],
-        })
+        series.append({"epoch": int(epoch), **_lss_summary(row)})
     return series
 
 
 def _epoch_records(config: BenchmarkConfig, epoch: int):
-    packets, totals = generate_packets(config.seed * 1000 + epoch, config.window,
-                                       config.zipf_s, config.mean_packets,
-                                       v_max=config.zipf_vmax)
-    truth = GroundTruth()
-    truth.totals = dict(totals)
-    return [(p.key, p.size_bytes) for p in packets], truth
+    return load_records(_with(config, seed=config.seed * 1000 + epoch))

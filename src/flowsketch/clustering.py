@@ -13,6 +13,7 @@ clusters that are uncertain, populous, or sit in the heavy tail get more
 buckets.
 """
 
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -22,6 +23,16 @@ import numpy as np
 
 class InvalidInputError(ValueError):
     """Raised when an operation's preconditions are violated."""
+
+
+def int_value(value) -> int:
+    """A sketch insert value as a Python int. Integral types such as
+    numpy ints are converted; bool, float and str raise TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("insert values must be integers, not bool")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -278,8 +289,6 @@ def allocate_buckets(model: ClusterModel, m: int, policy: str = "hdw") -> list[i
     weights = np.ones(k, dtype=np.float64)
     for name in factors:
         weights = weights * np.asarray(getattr(model, name), dtype=np.float64)
-    if policy == "uniform":
-        weights = np.ones(k)
 
     total = weights.sum()
     if total <= 0.0:

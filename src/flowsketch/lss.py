@@ -16,12 +16,13 @@ a one-shot insertion of per-flow totals.
 
 import struct
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from .clustering import ClusterModel, InvalidInputError, allocate_buckets, nearest_center
+from .clustering import ClusterModel, InvalidInputError, allocate_buckets, int_value, nearest_center
 from .hashing import key_digest
-from .membership import CuckooTable
+from .membership import SLOT_BYTES_SQUEEZED, SLOTS_PER_BUCKET, CuckooTable
 from .metrics import entropy_of_values
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
@@ -40,6 +41,12 @@ class BucketUnderflowError(RuntimeError):
     """
 
 
+def sketch_bytes(m: int, k: int, counter_width: int) -> int:
+    """Serialized footprint of m bucket pairs at counter_width bits plus
+    k four-byte centers: the counter budget every compared sketch gets."""
+    return m * 2 * (counter_width // 8) + k * 4
+
+
 def changed_keys(before: dict, after: dict, keys, threshold: float) -> list[bytes]:
     """Keys, in order, whose estimates in the two estimates() maps differ
     by more than threshold; a key missing from a map counts as 0 there."""
@@ -50,8 +57,11 @@ class LssSketch:
     """k clustered bucket arrays of (val_sum, key_count) pairs.
 
     model supplies the centers; m buckets are split across the arrays
-    by the entropy/density/weight policy. counter_width only affects
-    the serialized form (in memory the accumulators are plain ints).
+    by the entropy/density/weight policy. The arrays lie end to end in
+    two flat length-m lists; a key routed to cluster i owns position
+    _offsets[i] + bucket_hash % allocation[i]. counter_width only
+    affects the serialized form (in memory the accumulators are plain
+    ints).
     """
 
     def __init__(self, model: ClusterModel, m: int, hash_seed: int = 0,
@@ -74,8 +84,9 @@ class LssSketch:
         elif sum(allocation) != m or len(allocation) != k:
             raise InvalidInputError("allocation inconsistent with m and k")
         self.allocation = list(allocation)
-        self._val_sums = [[0] * size for size in self.allocation]
-        self._key_counts = [[0] * size for size in self.allocation]
+        self._offsets = list(accumulate(self.allocation[:-1], initial=0))
+        self._val_sums = [0] * m
+        self._key_counts = [0] * m
         if membership is None:
             if expected_flows is None:
                 expected_flows = max(64, 10 * m)
@@ -85,16 +96,22 @@ class LssSketch:
 
     # -- inserts ---------------------------------------------------------
 
+    def _place(self, bucket_h: int, fp: int, idx_h: int, value: int) -> None:
+        """Route a first-seen flow by its value, count it in its bucket
+        and cache (cluster, value) in the membership table."""
+        i = nearest_center(self.model, value)
+        pos = self._offsets[i] + bucket_h % self.allocation[i]
+        self._val_sums[pos] += value
+        self._key_counts[pos] += 1
+        self.membership._insert_fp(fp, idx_h, i, value)
+
     def insert(self, key: bytes, value: int) -> None:
         """Insert a key that appears exactly once in the stream."""
+        value = int_value(value)
         if value < 0:
             raise InvalidInputError("values must be non-negative")
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
-        i = nearest_center(self.model, value)
-        slot = bucket_h % self.allocation[i]
-        self._val_sums[i][slot] += value
-        self._key_counts[i][slot] += 1
-        self.membership._insert_fp(fp, idx_h & self.membership._mask, i, value)
+        self._place(bucket_h, fp, idx_h, value)
 
     def insert_duplicate(self, key: bytes, value: int) -> None:
         """Insert one increment of a flow that may appear many times.
@@ -104,45 +121,38 @@ class LssSketch:
         to its current bucket, then migrates its whole total to another
         array when the total has moved closer to a different center.
         """
+        value = int_value(value)
         if value < 0:
             raise InvalidInputError("values must be non-negative")
         table = self.membership
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
-        i1 = idx_h & table._mask
-        slot = table._find_slot(fp, i1)
+        slot = table._find_slot(fp, idx_h)
         if slot is None:
-            i = nearest_center(self.model, value)
-            pos = bucket_h % self.allocation[i]
-            self._val_sums[i][pos] += value
-            self._key_counts[i][pos] += 1
-            table._insert_fp(fp, i1, i, value)
+            self._place(bucket_h, fp, idx_h, value)
             return
-        if table.squeezed:
+        old, cached = table._read(slot)
+        if cached is None:
             raise RuntimeError("cannot insert into a closed (squeezed) window")
-        old = table._cis[slot]
-        total = table._vals[slot] + value
-        pos_old = bucket_h % self.allocation[old]
-        vals_old = self._val_sums[old]
-        vals_old[pos_old] += value
+        total = cached + value
+        vals = self._val_sums
+        pos_old = self._offsets[old] + bucket_h % self.allocation[old]
+        vals[pos_old] += value
         new = nearest_center(self.model, total)
-        if new == old:
-            table._vals[slot] = total
-            return
-        counts_old = self._key_counts[old]
-        if vals_old[pos_old] < total or counts_old[pos_old] < 1:
-            # merged fingerprints: the cached total exceeds what this
-            # bucket ever received, so the move cannot be applied
-            table._vals[slot] = total
-            raise BucketUnderflowError(
-                f"bucket ({old},{pos_old}) cannot release total {total}"
-            )
-        vals_old[pos_old] -= total
-        counts_old[pos_old] -= 1
-        pos_new = bucket_h % self.allocation[new]
-        self._val_sums[new][pos_new] += total
-        self._key_counts[new][pos_new] += 1
-        table._cis[slot] = new
-        table._vals[slot] = total
+        if new != old:
+            counts = self._key_counts
+            if vals[pos_old] < total or counts[pos_old] < 1:
+                # merged fingerprints: the cached total exceeds what this
+                # bucket ever received, so the move cannot be applied
+                table._write(slot, old, total)
+                raise BucketUnderflowError(
+                    f"bucket ({old},{pos_old - self._offsets[old]}) cannot release total {total}"
+                )
+            vals[pos_old] -= total
+            counts[pos_old] -= 1
+            pos_new = self._offsets[new] + bucket_h % self.allocation[new]
+            vals[pos_new] += total
+            counts[pos_new] += 1
+        table._write(slot, new, total)
 
     # -- queries ---------------------------------------------------------
 
@@ -151,15 +161,15 @@ class LssSketch:
         membership probe. None when the fingerprint is absent, or when a
         foreign fingerprint matched and the key's own bucket is empty."""
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
-        hit = self.membership._lookup_fp(fp, idx_h & self.membership._mask)
+        hit = self.membership._lookup_fp(fp, idx_h)
         if hit is None:
             return None
-        i = hit.cluster_index
-        slot = bucket_h % self.allocation[i]
-        count = self._key_counts[i][slot]
+        i = hit[0]
+        pos = self._offsets[i] + bucket_h % self.allocation[i]
+        count = self._key_counts[pos]
         if count == 0:
             return None
-        return self._val_sums[i][slot], count
+        return self._val_sums[pos], count
 
     def _held_bucket(self, key: bytes) -> tuple[int, int]:
         found = self._bucket(key)
@@ -199,15 +209,11 @@ class LssSketch:
 
     def cardinality(self) -> int:
         """Exact distinct-flow count: the sum of all key_count fields."""
-        return sum(sum(counts) for counts in self._key_counts)
+        return sum(self._key_counts)
 
     def total_value(self) -> int:
         """Sum of val_sum over every bucket; equals the sum of inserted values."""
-        return sum(sum(vals) for vals in self._val_sums)
-
-    def size_distribution(self, keys) -> list[float]:
-        """Per-key estimates, in input order."""
-        return [self.query(k) for k in keys]
+        return sum(self._val_sums)
 
     def entropy(self, keys) -> float:
         """Base-2 entropy of the distribution of estimated sizes, grouped
@@ -237,7 +243,7 @@ class LssSketch:
 
     def sketch_bytes(self) -> int:
         """Serialized footprint of the bucket arrays plus the centers."""
-        return self.m * 2 * (self.counter_width // 8) + self.model.k * 4
+        return sketch_bytes(self.m, self.model.k, self.counter_width)
 
     def memory_bytes(self, include_membership: bool = True,
                      squeezed_membership: bool = True) -> int:
@@ -246,7 +252,7 @@ class LssSketch:
         total = self.sketch_bytes()
         if include_membership:
             if squeezed_membership:
-                total += self.membership.num_buckets * 4 * 3
+                total += self.membership.num_buckets * SLOTS_PER_BUCKET * SLOT_BYTES_SQUEEZED
             else:
                 total += self.membership.memory_bytes()
         return total
@@ -266,13 +272,12 @@ class LssSketch:
         limit = (1 << width) - 1
         fmt = {16: "H", 32: "I", 64: "Q"}[width]
         k = self.model.k
-        flat_vals, flat_counts, saturated = [], [], False
-        for i in range(k):
-            for v, c in zip(self._val_sums[i], self._key_counts[i]):
-                if v > limit or c > limit:
-                    saturated = True
-                flat_vals.append(min(v, limit))
-                flat_counts.append(min(c, limit))
+        flat = [0] * (2 * self.m)
+        flat[0::2] = self._val_sums
+        flat[1::2] = self._key_counts
+        saturated = max(flat) > limit
+        if saturated:
+            flat = [min(x, limit) for x in flat]
         flags = (self._FLAG_MEMBERSHIP if include_membership else 0) | (
             self._FLAG_SATURATED if saturated else 0
         )
@@ -281,8 +286,7 @@ class LssSketch:
             head,
             np.asarray(self.model.centers, dtype="<f4").tobytes(),
             struct.pack(f"<{k}I", *self.allocation),
-            struct.pack(f"<{2 * self.m}{fmt}",
-                        *[x for pair in zip(flat_vals, flat_counts) for x in pair]),
+            struct.pack(f"<{2 * self.m}{fmt}", *flat),
         ]
         if include_membership:
             body = self.membership.to_bytes()
@@ -328,18 +332,14 @@ class LssSketch:
         )
         sketch = cls(model, m, hash_seed=hash_seed, counter_width=width,
                      membership=membership, allocation=allocation)
-        vals, counts = flat[0::2], flat[1::2]
-        pos = 0
-        for i, size in enumerate(allocation):
-            sketch._val_sums[i] = list(vals[pos:pos + size])
-            sketch._key_counts[i] = list(counts[pos:pos + size])
-            pos += size
+        sketch._val_sums = list(flat[0::2])
+        sketch._key_counts = list(flat[1::2])
         sketch.saturated = bool(flags & cls._FLAG_SATURATED)
         return sketch
 
     def state(self) -> list[list[tuple[int, int]]]:
         """Bucket-for-bucket snapshot, for equivalence checks."""
         return [
-            list(zip(self._val_sums[i], self._key_counts[i]))
-            for i in range(self.model.k)
+            list(zip(self._val_sums[off:off + size], self._key_counts[off:off + size]))
+            for off, size in zip(self._offsets, self.allocation)
         ]

@@ -29,10 +29,6 @@ class TableFullError(RuntimeError):
     """Insertion failed after the maximum number of displacements."""
 
 
-class NotFoundError(KeyError):
-    """The key's fingerprint is not present in its candidate buckets."""
-
-
 def _next_pow2(n: int) -> int:
     p = 1
     while p < n:
@@ -77,9 +73,11 @@ class CuckooTable:
     def _alt_index(self, index: int, fp: int) -> int:
         return (index ^ mix16(fp)) & self._mask
 
-    # -- slot-level operations (fingerprint already computed) ----------
+    # -- slot-level operations (fingerprint and raw index hash already
+    # computed; the index hash is masked here, and masking is idempotent)
 
-    def _find_slot(self, fp: int, i1: int) -> int | None:
+    def _find_slot(self, fp: int, idx_h: int) -> int | None:
+        i1 = idx_h & self._mask
         base = i1 * SLOTS_PER_BUCKET
         for s in range(base, base + SLOTS_PER_BUCKET):
             if self._fps[s] == fp:
@@ -91,14 +89,16 @@ class CuckooTable:
                 return s
         return None
 
-    def _lookup_fp(self, fp: int, i1: int) -> Payload | None:
-        s = self._find_slot(fp, i1)
-        if s is None:
-            return None
-        value = None if self.squeezed else self._vals[s]
-        return Payload(self._cis[s], value)
+    def _read(self, slot: int) -> tuple[int, int | None]:
+        """(cluster_index, cached total) of an occupied slot; the total
+        is None once the table is squeezed."""
+        return self._cis[slot], None if self.squeezed else self._vals[slot]
 
-    def _insert_fp(self, fp: int, i1: int, cluster_index: int, value: int) -> None:
+    def _lookup_fp(self, fp: int, idx_h: int) -> tuple[int, int | None] | None:
+        s = self._find_slot(fp, idx_h)
+        return None if s is None else self._read(s)
+
+    def _insert_fp(self, fp: int, idx_h: int, cluster_index: int, value: int) -> None:
         if self.squeezed:
             raise RuntimeError("cannot insert into a squeezed table")
         if self.occupied >= self._max_occupied:
@@ -106,12 +106,14 @@ class CuckooTable:
                 f"load factor cap reached ({self.occupied} of "
                 f"{self.num_buckets * SLOTS_PER_BUCKET} slots)"
             )
+        i1 = idx_h & self._mask
         i2 = self._alt_index(i1, fp)
         for i in (i1, i2):
             base = i * SLOTS_PER_BUCKET
             for s in range(base, base + SLOTS_PER_BUCKET):
                 if self._fps[s] == 0:
-                    self._write(s, fp, cluster_index, value)
+                    self._fps[s] = fp
+                    self._write(s, cluster_index, value)
                     self.occupied += 1
                     return
         # both candidates full: displace a random victim and chase it
@@ -125,7 +127,8 @@ class CuckooTable:
             base = i * SLOTS_PER_BUCKET
             for s in range(base, base + SLOTS_PER_BUCKET):
                 if self._fps[s] == 0:
-                    self._write(s, fp, cluster_index, value)
+                    self._fps[s] = fp
+                    self._write(s, cluster_index, value)
                     self.occupied += 1
                     return
         raise TableFullError(
@@ -133,27 +136,11 @@ class CuckooTable:
             f"(load factor {self.load_factor:.3f})"
         )
 
-    def _update_fp(self, fp: int, i1: int, cluster_index: int, value: int) -> None:
-        s = self._find_slot(fp, i1)
-        if s is None:
-            raise NotFoundError("fingerprint not present")
-        self._write(s, fp, cluster_index, value)
-
-    def _delete_fp(self, fp: int, i1: int) -> None:
-        s = self._find_slot(fp, i1)
-        if s is None:
-            raise NotFoundError("fingerprint not present")
-        self._fps[s] = 0
-        self._cis[s] = 0
-        if not self.squeezed:
-            self._vals[s] = 0
-        self.occupied -= 1
-
-    def _write(self, slot: int, fp: int, cluster_index: int, value: int) -> None:
-        self._fps[slot] = fp
+    def _write(self, slot: int, cluster_index: int, value: int) -> None:
+        """Set (cluster_index, cached total) of a slot in an open (not
+        squeezed) table."""
         self._cis[slot] = cluster_index
-        if not self.squeezed:
-            self._vals[slot] = value if value is not None else 0
+        self._vals[slot] = value
 
     # -- key-level API --------------------------------------------------
 
@@ -169,15 +156,8 @@ class CuckooTable:
         key sharing bucket and fingerprint) is possible at the
         fingerprint-collision rate."""
         fp, i1 = self._fp_and_index(key)
-        return self._lookup_fp(fp, i1)
-
-    def update(self, key: bytes, cluster_index: int, value: int = 0) -> None:
-        fp, i1 = self._fp_and_index(key)
-        self._update_fp(fp, i1, cluster_index, value)
-
-    def delete(self, key: bytes) -> None:
-        fp, i1 = self._fp_and_index(key)
-        self._delete_fp(fp, i1)
+        hit = self._lookup_fp(fp, i1)
+        return None if hit is None else Payload(*hit)
 
     def squeeze(self) -> "CuckooTable":
         """Drop the cached values, keeping only fingerprint and cluster

@@ -24,9 +24,7 @@ def relative_error(truth: float, estimate: float) -> float:
 def f1_score(true_set: set, predicted_set: set) -> float:
     """Harmonic mean of precision and recall; 0 whenever P + R == 0
     (including the degenerate case of two empty sets)."""
-    tp = len(true_set & predicted_set)
-    precision = tp / len(predicted_set) if predicted_set else 0.0
-    recall = tp / len(true_set) if true_set else 0.0
+    precision, recall = precision_recall(true_set, predicted_set)
     if precision + recall == 0.0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

@@ -20,17 +20,11 @@ from .clustering import ClusterModel, InvalidInputError
 from .lss import BucketUnderflowError, LssSketch, changed_keys
 from .membership import TableFullError
 from .metrics import entropy_of_values
+from .traces import TracePacket
 
 log = logging.getLogger(__name__)
 
 FLOWLET_RECORD_BYTES = 8  # accounting size of one key-value pair on the wire
-
-
-@dataclass(frozen=True)
-class Packet:
-    key: bytes
-    size_bytes: int
-    ts_ns: int
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class IngestStage:
         self.records_emitted = 0
         self.batches_emitted = 0
 
-    def ingest(self, pkt: Packet) -> FlowletBatch | None:
+    def ingest(self, pkt: TracePacket) -> FlowletBatch | None:
         self.packets_seen += 1
         self.bytes_seen += pkt.size_bytes
         if pkt.key in self._table:

@@ -105,6 +105,27 @@ class TestCountSketch:
         assert abs(errors.mean()) <= 3 * se
 
 
+@pytest.mark.parametrize("kind", [CmSketch, CsSketch])
+class TestInsertValues:
+    @pytest.mark.parametrize("value", [1.0, 2.5, True, False, "3", None])
+    def test_non_integer_values_rejected(self, kind, value):
+        sk = kind(30, c=3, seed=1)
+        with pytest.raises(TypeError):
+            sk.insert(b"x", value)
+        assert all(v == 0 for bank in sk.banks for v in bank)
+
+    def test_negative_value_rejected(self, kind):
+        with pytest.raises(ValueError):
+            kind(30, c=3, seed=1).insert(b"x", -1)
+
+    def test_numpy_ints_stored_as_python_ints(self, kind):
+        sk = kind(30, c=3, seed=1)
+        sk.insert(b"a", np.int64(18))
+        sk.insert(b"b", np.uint8(7))
+        assert all(type(v) is int for bank in sk.banks for v in bank)
+        assert sk.query(b"a") >= 0
+
+
 class TestExpectedNoisyFraction:
     def test_zero_keys(self):
         assert expected_noisy_fraction(100, 0, 1) == 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch.clustering import (
     ClusterModel,
@@ -165,6 +167,22 @@ class TestAllocateBuckets:
             alloc = allocate_buckets(model, m)
             assert sum(alloc) == m
             assert min(alloc) >= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), policy=st.sampled_from(("hdw", "dw", "hw", "hd", "uniform")))
+    def test_every_policy_sums_to_m_with_floor(self, data, policy):
+        k = data.draw(st.integers(1, 12), label="k")
+        m = data.draw(st.integers(k, 6 * k + 40), label="m")
+        stat = st.lists(st.floats(0, 1), min_size=k, max_size=k)
+        model = make_model(list(range(1, k + 1)), entropy=data.draw(stat, label="entropy"),
+                           weight=data.draw(stat, label="weight"),
+                           density=data.draw(stat, label="density"))
+        alloc = allocate_buckets(model, m, policy=policy)
+        assert len(alloc) == k
+        assert sum(alloc) == m
+        assert min(alloc) >= 1
+        if policy == "uniform":
+            assert max(alloc) - min(alloc) <= 1
 
 
 class TestNearestCenter:

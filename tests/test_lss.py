@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -48,6 +49,27 @@ def keys_for_slots(m, wanted, seed, salt=""):
     return out
 
 
+def merge_free_keys(n, seed, capacity, salt="mf"):
+    """n keys whose (fingerprint, candidate buckets) never overlap in a
+    table sized for capacity, so the table cannot merge two flows."""
+    table = CuckooTable(capacity=capacity, seed=seed)
+    keys, taken = [], {}
+    i = 0
+    while len(keys) < n:
+        key = f"{salt}-{i}".encode()
+        i += 1
+        fp, i1 = table._fp_and_index(key)
+        buckets = {i1, table._alt_index(i1, fp)}
+        if any(buckets & other for other in taken.get(fp, ())):
+            continue
+        taken.setdefault(fp, []).append(buckets)
+        keys.append(key)
+    return keys
+
+
+FRAGMENT_KEYS = merge_free_keys(30, seed=31, capacity=64)
+
+
 def foreign_fingerprint_sketch(seed=13, m=64):
     """A sketch holding one key in a one-bucket membership table, plus a
     key never inserted whose fingerprint matches the held one and whose
@@ -95,8 +117,7 @@ class TestInsertQuery:
         sketch = LssSketch(two_center_model(), 2, hash_seed=11)
         sketch.insert(b"f3", 18)
         sketch.insert(b"f4", 17)
-        assert sketch._val_sums[0][0] == 35
-        assert sketch._key_counts[0][0] == 2
+        assert sketch.state()[0][0] == (35, 2)
         assert sketch.query(b"f3") == 17.5
         assert sketch.query(b"f4") == 17.5
 
@@ -121,6 +142,26 @@ class TestInsertQuery:
         sketch = LssSketch(two_center_model(), 2, hash_seed=11)
         with pytest.raises(InvalidInputError):
             sketch.insert(b"x", -1)
+        with pytest.raises(InvalidInputError):
+            sketch.insert_duplicate(b"x", -1)
+
+    @pytest.mark.parametrize("value", [1.0, 2.5, True, False, "3", None])
+    def test_non_integer_values_rejected(self, value):
+        sketch = LssSketch(two_center_model(), 2, hash_seed=11)
+        for insert in (sketch.insert, sketch.insert_duplicate):
+            with pytest.raises(TypeError):
+                insert(b"x", value)
+        assert sketch.cardinality() == 0
+        assert sketch.membership.occupied == 0
+
+    def test_numpy_ints_stored_as_python_ints(self):
+        sketch = LssSketch(two_center_model(), 2, hash_seed=11)
+        sketch.insert(b"a", np.int64(18))
+        sketch.insert_duplicate(b"b", np.uint8(10))
+        sketch.insert_duplicate(b"b", np.int32(7))
+        assert sketch.total_value() == 35
+        assert all(type(v) is int and type(c) is int
+                   for buckets in sketch.state() for v, c in buckets)
 
     def test_small_instance_matches_dense_oracle(self):
         # four keys paired into two buckets: {3,5} -> 4, {7,9} -> 8
@@ -143,18 +184,14 @@ class TestInsertDuplicate:
         sketch = LssSketch(two_center_model(), 2, hash_seed=11)
         sketch.insert_duplicate(b"f", 10)
         sketch.insert_duplicate(b"f", 10)
-        assert sketch._val_sums[0][0] == 20
-        assert sketch._key_counts[0][0] == 1
+        assert sketch.state()[0][0] == (20, 1)
         assert sketch.query(b"f") == 20.0
 
     def test_growth_moves_flow_between_arrays(self):
         sketch = LssSketch(two_center_model(), 2, hash_seed=11)
         sketch.insert_duplicate(b"f", 10)
         sketch.insert_duplicate(b"f", 90)
-        assert sketch._val_sums[0][0] == 0
-        assert sketch._key_counts[0][0] == 0
-        assert sketch._val_sums[1][0] == 100
-        assert sketch._key_counts[1][0] == 1
+        assert sketch.state() == [[(0, 0)], [(100, 1)]]
         assert sketch.query(b"f") == 100.0
 
     def test_fragmentation_equivalent_to_totals(self):
@@ -187,6 +224,27 @@ class TestInsertDuplicate:
             assert incremental.state() == oneshot.state()
             assert incremental.cardinality() == n
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_fragmentation_equals_one_shot(self, data):
+        totals = data.draw(st.lists(st.integers(0, 300), min_size=1,
+                                    max_size=len(FRAGMENT_KEYS)), label="totals")
+        fragments = []
+        for key, total in zip(FRAGMENT_KEYS, totals):
+            cuts = data.draw(st.lists(st.integers(0, total), max_size=5), label="cuts")
+            bounds = [0, *sorted(cuts), total]
+            fragments.extend((key, hi - lo) for lo, hi in zip(bounds, bounds[1:]))
+        fragments = data.draw(st.permutations(fragments), label="order")
+        model = uniform_model(4)
+        incremental = LssSketch(model, 12, hash_seed=31, expected_flows=64)
+        for key, piece in fragments:
+            incremental.insert_duplicate(key, piece)
+        oneshot = LssSketch(model, 12, hash_seed=31, expected_flows=64)
+        for key, total in zip(FRAGMENT_KEYS, totals):
+            oneshot.insert(key, total)
+        assert incremental.state() == oneshot.state()
+        assert incremental.cardinality() == len(totals)
+
     def test_conservation_through_remaps(self):
         rng = np.random.default_rng(22)
         model = uniform_model(5)
@@ -204,10 +262,12 @@ class TestInsertDuplicate:
         # and the re-homing step must refuse to strip the shared bucket
         model = two_center_model()
         sketch = LssSketch(model, 2, hash_seed=11)
-        fp, i1 = sketch.membership._fp_and_index(b"real")
+        table = sketch.membership
+        fp, i1 = table._fp_and_index(b"real")
         sketch.insert_duplicate(b"real", 10)
         # forge a merged cache entry far above what the bucket holds
-        sketch.membership._update_fp(fp, i1, 0, 10_000)
+        slot = table._find_slot(fp, i1)
+        table._write(slot, 0, 10_000)
         with pytest.raises(BucketUnderflowError):
             sketch.insert_duplicate(b"real", 90)
 
@@ -227,13 +287,6 @@ class TestQueryTasks:
         for _ in range(5):
             fragmented.insert_duplicate(b"one", 3)
         assert fragmented.cardinality() == 1
-
-    def test_size_distribution_order_preserving(self):
-        sketch, sizes = self.build()
-        keys = [b"d", b"a", b"b"]
-        ests = sketch.size_distribution(keys)
-        assert ests == [sketch.query(k) for k in keys]
-        assert sketch.size_distribution([]) == []
 
     def test_entropy_formula(self):
         sketch = LssSketch(single_cluster_model(), 4, hash_seed=23)
@@ -475,3 +528,44 @@ class TestPythonIntState:
         assert sketch.cardinality() > 0
         assert all(type(v) is int and type(c) is int
                    for buckets in sketch.state() for v, c in buckets)
+
+
+def golden_sketch(width):
+    """A hand-built model and fixed keys: migrations, collisions and,
+    at width 16, one saturated bucket."""
+    model = ClusterModel(centers=(4.0, 20.0, 75.0), entropy=(0.3, 0.6, 0.9),
+                         weight=(0.2, 0.3, 0.5), density=(0.5, 0.3, 0.2))
+    sketch = LssSketch(model, 12, hash_seed=7, counter_width=width, expected_flows=64,
+                       allocation=[3, 4, 5])
+    keys = [f"golden-{i}".encode() for i in range(40)]
+    for rnd in range(2):
+        for i, key in enumerate(keys):
+            sketch.insert_duplicate(key, (i * 37 + rnd * 11) % 50 + 1)
+    sketch.insert(b"golden-heavy", 70_000)
+    return sketch
+
+
+class TestGoldenBytes:
+    """sha256 of to_bytes() pinned across refactors of the in-memory
+    layout: the wire format must not move."""
+
+    DIGESTS = {
+        16: ("27647e982f980b0c69ca317cf3205423c8c55a0fad089ccfc4956d2a03435977",
+             "2bfda149de9d16e62bd654bc4a2b0a770cf6741bd55bb1d5509939dfdc6e00c9"),
+        32: ("be9cd00d247ce6828c316951918710da164173c3712292ce870783a45d05137a",
+             "9f1349e1ad4af0c7a8df297e786585e992586b852b1470948135bba89189acb9"),
+        64: ("f963aa15a117107df8d557de822bd3344bc25f4dd42d6d9b46e857be96b402a5",
+             "6ee7edb78645a0360c9d89d8caa8f61a5ebffe20ddf83eedfd411ed8ac142c18"),
+    }
+
+    @pytest.mark.parametrize("width", [16, 32, 64])
+    def test_to_bytes_digest(self, width):
+        sketch = golden_sketch(width)
+        assert sketch.cardinality() == 41
+        assert sketch.total_value() == 72_090
+        open_digest, squeezed_digest = self.DIGESTS[width]
+        assert hashlib.sha256(sketch.to_bytes()).hexdigest() == open_digest
+        sketch.membership.squeeze()
+        blob = sketch.to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == squeezed_digest
+        assert LssSketch.from_bytes(blob).saturated == (width == 16)

@@ -8,7 +8,6 @@ from flowsketch.membership import (
     SLOT_BYTES_OPEN,
     SLOT_BYTES_SQUEEZED,
     CuckooTable,
-    NotFoundError,
     TableFullError,
 )
 
@@ -69,30 +68,26 @@ class TestInsertLookup:
         assert table.load_factor <= 0.95
 
 
-class TestUpdateDelete:
-    def test_update_replaces_payload(self):
+class TestSlots:
+    def test_raw_index_hash_is_masked(self):
+        table = CuckooTable(capacity=64, seed=4)
+        table.insert(b"k", 3, 10)
+        _, fp, idx_h = key_digest(b"k", 4)
+        _, i1 = table._fp_and_index(b"k")
+        slot = table._find_slot(fp, idx_h)
+        assert slot is not None and slot == table._find_slot(fp, i1)
+        assert table._lookup_fp(fp, idx_h) == table._read(slot) == (3, 10)
+
+    def test_write_replaces_payload_and_squeeze_drops_total(self):
         table = CuckooTable(capacity=64, seed=4)
         table.insert(b"k", 0, 10)
-        table.update(b"k", 5, 99)
-        hit = table.lookup(b"k")
-        assert hit.cluster_index == 5 and hit.value == 99
-
-    def test_delete_removes(self):
-        table = CuckooTable(capacity=64, seed=4)
-        table.insert(b"k", 0, 10)
-        table.delete(b"k")
-        assert table.lookup(b"k") is None
-        assert table.occupied == 0
-
-    def test_update_absent_raises(self):
-        table = CuckooTable(capacity=64, seed=4)
-        with pytest.raises(NotFoundError):
-            table.update(b"nope", 1, 1)
-
-    def test_delete_absent_raises(self):
-        table = CuckooTable(capacity=64, seed=4)
-        with pytest.raises(NotFoundError):
-            table.delete(b"nope")
+        fp, i1 = table._fp_and_index(b"k")
+        slot = table._find_slot(fp, i1)
+        table._write(slot, 5, 99)
+        assert table.lookup(b"k") == (5, 99)
+        assert table.occupied == 1
+        table.squeeze()
+        assert table._read(slot) == (5, None)
 
 
 class TestSqueeze:
@@ -124,8 +119,8 @@ class TestSqueeze:
 
 class TestOracleEquivalence:
     def test_against_exact_map(self, caplog):
-        """10^5 random ops vs a dict; fingerprint-collision keys are
-        logged and excluded, everything else must agree exactly."""
+        """10^5 random inserts and lookups vs a dict; fingerprint-collision
+        keys are logged and excluded, everything else must agree exactly."""
         rng = np.random.default_rng(6)
         table = CuckooTable(capacity=40_000, seed=6)
 
@@ -150,28 +145,18 @@ class TestOracleEquivalence:
             key = universe[int(rng.integers(len(universe)))]
             if key in excluded:
                 continue
-            op = rng.random()
-            if op < 0.5:
+            if rng.random() < 0.5:
                 if key not in shadow:
                     payload = (int(rng.integers(0, 200)), int(rng.integers(0, 1 << 40)))
                     table.insert(key, *payload)
                     shadow[key] = payload
-            elif op < 0.75:
-                if key in shadow:
-                    payload = (int(rng.integers(0, 200)), int(rng.integers(0, 1 << 40)))
-                    table.update(key, *payload)
-                    shadow[key] = payload
-            elif op < 0.9:
+            else:
                 hit = table.lookup(key)
                 if key in shadow:
                     assert hit is not None
                     assert (hit.cluster_index, hit.value) == shadow[key]
                 else:
                     assert hit is None
-            else:
-                if key in shadow:
-                    table.delete(key)
-                    del shadow[key]
         assert table.occupied == len(shadow)
         for key, payload in shadow.items():
             hit = table.lookup(key)

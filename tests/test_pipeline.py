@@ -10,7 +10,6 @@ from flowsketch.membership import CuckooTable
 from flowsketch.pipeline import (
     FlowRecord,
     IngestStage,
-    Packet,
     SketchEnvelope,
     SketchStore,
     SketchingStage,
@@ -18,7 +17,7 @@ from flowsketch.pipeline import (
     network_wide_query,
     run_pipeline,
 )
-from flowsketch.traces import generate_packets, uniform_packets
+from flowsketch.traces import TracePacket, generate_packets, uniform_packets
 
 
 def small_model(k=4):
@@ -30,7 +29,7 @@ def small_model(k=4):
 
 
 def pkt(key, size, ts=0):
-    return Packet(key=key, size_bytes=size, ts_ns=ts)
+    return TracePacket(key=key, size_bytes=size, ts_ns=ts)
 
 
 class TestIngestStage:
