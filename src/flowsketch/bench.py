@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import CmSketch, CsSketch
-from .clustering import InvalidInputError, train_model
+from .clustering import ClusterModel, InvalidInputError, train_model
 from .lss import BucketUnderflowError, LssSketch, sketch_bytes
 from .metrics import GroundTruth, entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
@@ -97,6 +97,16 @@ def training_samples(records, limit: int) -> list[int]:
 def clamp_clusters(k: int, m: int, samples) -> int:
     distinct = len(set(samples))
     return max(1, min(k, m, distinct))
+
+
+def fit_model(config: BenchmarkConfig, samples, ratio: float) -> tuple[ClusterModel, int, int]:
+    """The model a run sketches with: k-means over the training samples,
+    with k clamped to the bucket budget m = ratio * window, and the
+    configured policy's allocation of m. Returns (model, m, k)."""
+    m = max(1, int(round(ratio * config.window)))
+    k = clamp_clusters(config.clusters, m, samples)
+    model = train_model(samples, k, seed=config.seed)
+    return model.with_allocation(m, policy=config.allocation_policy), m, k
 
 
 def _evaluate(name: str, query, truth: GroundTruth, memory_bytes: int,
@@ -275,10 +285,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     timing = {"trace_records": len(records), "n_windows": len(windows),
               "insert_seconds": {}, "query_seconds": {}}
     for ratio in config.ratios:
-        m = max(1, int(round(ratio * config.window)))
-        k = clamp_clusters(config.clusters, m, samples)
-        model = train_model(samples, k, seed=config.seed)
-        model = model.with_allocation(m, policy=config.allocation_policy)
+        model, m, k = fit_model(config, samples, ratio)
         jobs = [(config, model, m, k, w, hh_threshold) for w in windows]
         if config.parallel and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -410,12 +417,9 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
     """Train on the first epoch, evaluate every epoch with that model."""
     if config.trace_path:
         raise InvalidInputError("epoch sweeps need a generated trace")
-    m = max(1, int(round(config.ratios[0] * config.window)))
     first_records, _ = _epoch_records(config, 1)
     samples = training_samples(first_records, config.train_samples)
-    k = clamp_clusters(config.clusters, m, samples)
-    model = train_model(samples, k, seed=config.seed).with_allocation(
-        m, policy=config.allocation_policy)
+    model, m, _ = fit_model(config, samples, config.ratios[0])
     hh_threshold = float(np.percentile(np.asarray(samples, dtype=np.float64),
                                        config.hh_percentile))
     series = []

@@ -7,7 +7,6 @@ import sys
 
 from . import bench
 from .bench import BenchmarkConfig, report_json, report_table, run_benchmark, run_sensitivity
-from .clustering import train_model
 from .pipeline import SketchStore, WindowConfig, network_wide_query, run_pipeline
 from .traces import gen_trace, gen_uniform_trace, read_trace
 
@@ -100,9 +99,7 @@ def _cmd_train(args) -> int:
                              train_samples=args.train_samples)
     records, _ = bench.load_records(config)
     samples = bench.training_samples(records, args.train_samples)
-    m = max(1, int(round(args.ratio * args.window)))
-    k = bench.clamp_clusters(args.clusters, m, samples)
-    model = train_model(samples, k, seed=args.seed).with_allocation(m)
+    model, _, _ = bench.fit_model(config, samples, args.ratio)
     with open(args.out, "w") as fh:
         json.dump(model.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -186,9 +183,7 @@ def _cmd_pipeline(args) -> int:
                              train_samples=args.train_samples)
     records, _ = bench.load_records(config)
     samples = bench.training_samples(records, args.train_samples)
-    m = max(1, int(round(args.ratio * args.window)))
-    k = bench.clamp_clusters(args.clusters, m, samples)
-    model = train_model(samples, k, seed=args.seed)
+    model, m, _ = bench.fit_model(config, samples, args.ratio)
     if args.time_window_ns:
         window = WindowConfig(mode="time", capacity=args.time_window_ns)
     else:

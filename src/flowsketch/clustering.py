@@ -321,12 +321,10 @@ def allocate_buckets(model: ClusterModel, m: int, policy: str = "hdw") -> list[i
     return [int(a) for a in alloc]
 
 
-def nearest_center(model: ClusterModel, value: float) -> int:
-    """Index of the center closest to value, by binary search.
-
-    Ties break toward the lower index.
+def nearest_center(centers, value: float) -> int:
+    """Index of the center closest to value in sorted centers, by binary
+    search. Ties break toward the lower index, matching assign_nearest.
     """
-    centers = model.centers
     pos = bisect_left(centers, value)
     if pos == 0:
         return 0

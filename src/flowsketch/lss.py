@@ -26,6 +26,7 @@ from .membership import SLOT_BYTES_SQUEEZED, SLOTS_PER_BUCKET, CuckooTable
 from .metrics import entropy_of_values
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
+COUNTER_FORMATS = {16: "H", 32: "I", 64: "Q"}  # counter width -> struct code on the wire
 
 
 class KeyNotFoundError(KeyError):
@@ -56,54 +57,65 @@ def changed_keys(before: dict, after: dict, keys, threshold: float) -> list[byte
 class LssSketch:
     """k clustered bucket arrays of (val_sum, key_count) pairs.
 
-    model supplies the centers; m buckets are split across the arrays
-    by the entropy/density/weight policy. The arrays lie end to end in
-    two flat length-m lists; a key routed to cluster i owns position
+    The sketch is its sorted centers and its allocation, the split of m
+    buckets across the arrays. Both come from the model: its own
+    allocation when it carries one, else the entropy/density/weight
+    split of allocate_buckets. The arrays lie end to end in two flat
+    length-m lists; a key routed to cluster i owns position
     _offsets[i] + bucket_hash % allocation[i]. counter_width only
     affects the serialized form (in memory the accumulators are plain
     ints).
     """
 
     def __init__(self, model: ClusterModel, m: int, hash_seed: int = 0,
-                 counter_width: int = 32, expected_flows: int | None = None,
-                 membership: CuckooTable | None = None,
-                 allocation: list[int] | None = None):
-        k = model.k
-        if k > MAX_CLUSTERS:
-            raise InvalidInputError(f"at most {MAX_CLUSTERS} clusters supported, got {k}")
-        if m < k:
-            raise InvalidInputError(f"m={m} must be at least the cluster count k={k}")
-        if counter_width not in (16, 32, 64):
+                 counter_width: int = 32, expected_flows: int | None = None):
+        membership = None
+        if expected_flows is not None:
+            membership = CuckooTable(capacity=expected_flows, seed=hash_seed)
+        self._set_layout(model.centers, model.allocation or allocate_buckets(model, m), m,
+                         hash_seed, counter_width, membership)
+
+    def _set_layout(self, centers, allocation, m: int, hash_seed: int, counter_width: int,
+                    membership: CuckooTable | None) -> None:
+        """Check the bucket layout and start with empty arrays. Without a
+        membership table an open one for 10 flows per bucket (at least
+        64) is made."""
+        k = len(centers)
+        if not 1 <= k <= MAX_CLUSTERS:
+            raise InvalidInputError(f"between 1 and {MAX_CLUSTERS} clusters supported, got {k}")
+        if not all(a <= b for a, b in zip(centers, centers[1:])):
+            raise InvalidInputError("centers must be sorted ascending")
+        if len(allocation) != k or min(allocation) < 1:
+            raise InvalidInputError(f"allocation {list(allocation)} needs one entry of at "
+                                    f"least 1 per center ({k})")
+        if sum(allocation) != m:
+            raise InvalidInputError(f"allocation sums to {sum(allocation)}, not m={m}")
+        if counter_width not in COUNTER_FORMATS:
             raise InvalidInputError(f"counter_width must be 16, 32 or 64, got {counter_width}")
-        self.model = model
+        self.centers = tuple(centers)
+        self.allocation = list(allocation)
         self.m = m
         self.hash_seed = hash_seed
         self.counter_width = counter_width
-        if allocation is None:
-            allocation = allocate_buckets(model, m)
-        elif sum(allocation) != m or len(allocation) != k:
-            raise InvalidInputError("allocation inconsistent with m and k")
-        self.allocation = list(allocation)
         self._offsets = list(accumulate(self.allocation[:-1], initial=0))
         self._val_sums = [0] * m
         self._key_counts = [0] * m
         if membership is None:
-            if expected_flows is None:
-                expected_flows = max(64, 10 * m)
-            membership = CuckooTable(capacity=expected_flows, seed=hash_seed)
+            membership = CuckooTable(capacity=max(64, 10 * m), seed=hash_seed)
         self.membership = membership
         self.saturated = False
 
     # -- inserts ---------------------------------------------------------
 
     def _place(self, bucket_h: int, fp: int, idx_h: int, value: int) -> None:
-        """Route a first-seen flow by its value, count it in its bucket
-        and cache (cluster, value) in the membership table."""
-        i = nearest_center(self.model, value)
+        """Route a first-seen flow by its value, cache (cluster, value) in
+        the membership table, then count it in its bucket. The table goes
+        first, so a TableFullError leaves the buckets untouched."""
+        i = nearest_center(self.centers, value)
+        self.membership._insert_fp(fp, idx_h, i, value)
         pos = self._offsets[i] + bucket_h % self.allocation[i]
         self._val_sums[pos] += value
         self._key_counts[pos] += 1
-        self.membership._insert_fp(fp, idx_h, i, value)
 
     def insert(self, key: bytes, value: int) -> None:
         """Insert a key that appears exactly once in the stream."""
@@ -137,7 +149,7 @@ class LssSketch:
         vals = self._val_sums
         pos_old = self._offsets[old] + bucket_h % self.allocation[old]
         vals[pos_old] += value
-        new = nearest_center(self.model, total)
+        new = nearest_center(self.centers, total)
         if new != old:
             counts = self._key_counts
             if vals[pos_old] < total or counts[pos_old] < 1:
@@ -243,7 +255,7 @@ class LssSketch:
 
     def sketch_bytes(self) -> int:
         """Serialized footprint of the bucket arrays plus the centers."""
-        return sketch_bytes(self.m, self.model.k, self.counter_width)
+        return sketch_bytes(self.m, len(self.centers), self.counter_width)
 
     def memory_bytes(self, include_membership: bool = True,
                      squeezed_membership: bool = True) -> int:
@@ -270,8 +282,8 @@ class LssSketch:
         saturation flag is set in the header."""
         width = self.counter_width
         limit = (1 << width) - 1
-        fmt = {16: "H", 32: "I", 64: "Q"}[width]
-        k = self.model.k
+        fmt = COUNTER_FORMATS[width]
+        k = len(self.centers)
         flat = [0] * (2 * self.m)
         flat[0::2] = self._val_sums
         flat[1::2] = self._key_counts
@@ -284,7 +296,7 @@ class LssSketch:
         head = self._HEADER.pack(self._MAGIC, 1, flags, k, self.m, self.hash_seed, width)
         parts = [
             head,
-            np.asarray(self.model.centers, dtype="<f4").tobytes(),
+            np.asarray(self.centers, dtype="<f4").tobytes(),
             struct.pack(f"<{k}I", *self.allocation),
             struct.pack(f"<{2 * self.m}{fmt}", *flat),
         ]
@@ -296,42 +308,35 @@ class LssSketch:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LssSketch":
-        off = 0
+        """Decode to_bytes() output. Truncated or trailing bytes, and a
+        layout the constructor would reject, raise ValueError."""
         if len(data) < cls._HEADER.size:
             raise ValueError(f"truncated sketch header at offset {len(data)}")
-        magic, version, flags, k, m, hash_seed, width = cls._HEADER.unpack_from(data, off)
+        magic, version, flags, k, m, hash_seed, width = cls._HEADER.unpack_from(data)
         if magic != cls._MAGIC or version != 1:
             raise ValueError(f"bad sketch magic/version at offset 0: {magic!r} v{version}")
-        off += cls._HEADER.size
-        need = off + 4 * k + 4 * k + 2 * m * (width // 8)
-        if len(data) < need:
-            raise ValueError(f"truncated sketch body at offset {len(data)} (need {need})")
-        centers = np.frombuffer(data, dtype="<f4", count=k, offset=off).astype(np.float64)
-        off += 4 * k
-        allocation = list(struct.unpack_from(f"<{k}I", data, off))
-        off += 4 * k
-        fmt = {16: "H", 32: "I", 64: "Q"}[width]
-        flat = struct.unpack_from(f"<{2 * m}{fmt}", data, off)
-        off += 2 * m * (width // 8)
+        off = cls._HEADER.size
+        buckets_at = off + 8 * k
+        end = buckets_at + 2 * m * (width // 8)
+        if len(data) < end:
+            raise ValueError(f"truncated sketch body at offset {len(data)} (need {end})")
+        centers = np.frombuffer(data, dtype="<f4", count=k, offset=off).tolist()
+        allocation = struct.unpack_from(f"<{k}I", data, off + 4 * k)
         membership = None
         if flags & cls._FLAG_MEMBERSHIP:
-            if len(data) < off + 4:
-                raise ValueError(f"truncated membership length at offset {off}")
-            (blen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            membership = CuckooTable.from_bytes(data[off:off + blen])
-            off += blen
-        # stats are not wire-carried; only centers and allocation matter
-        # for querying and further inserts
-        model = ClusterModel(
-            centers=tuple(float(c) for c in centers),
-            entropy=tuple([0.0] * k),
-            weight=tuple([1.0 / k] * k),
-            density=tuple([1.0 / k] * k),
-            allocation=tuple(allocation),
-        )
-        sketch = cls(model, m, hash_seed=hash_seed, counter_width=width,
-                     membership=membership, allocation=allocation)
+            if len(data) < end + 4:
+                raise ValueError(f"truncated membership length at offset {end}")
+            (blen,) = struct.unpack_from("<I", data, end)
+            end += 4 + blen
+            if len(data) < end:
+                raise ValueError(f"truncated membership at offset {len(data)} (need {end})")
+            membership = CuckooTable.from_bytes(data[end - blen:end])
+        if len(data) > end:
+            raise ValueError(f"{len(data) - end} trailing bytes at offset {end}")
+        sketch = cls.__new__(cls)
+        sketch._set_layout(centers, allocation, m, hash_seed, width, membership)
+        fmt = COUNTER_FORMATS[width]
+        flat = struct.unpack_from(f"<{2 * m}{fmt}", data, buckets_at)
         sketch._val_sums = list(flat[0::2])
         sketch._key_counts = list(flat[1::2])
         sketch.saturated = bool(flags & cls._FLAG_SATURATED)

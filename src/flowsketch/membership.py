@@ -50,8 +50,8 @@ class CuckooTable:
                  num_buckets: int | None = None):
         if num_buckets is None:
             num_buckets = _next_pow2(max(1, -(-int(capacity * 1.2) // SLOTS_PER_BUCKET)))
-        if num_buckets & (num_buckets - 1):
-            raise ValueError("num_buckets must be a power of two")
+        if num_buckets < 1 or num_buckets & (num_buckets - 1):
+            raise ValueError(f"num_buckets must be a power of two, got {num_buckets}")
         self.num_buckets = num_buckets
         self.max_kicks = max_kicks
         self.seed = seed
@@ -197,12 +197,14 @@ class CuckooTable:
         magic, version, squeezed, max_kicks, num_buckets, seed = cls._HEADER.unpack_from(data)
         if magic != cls._MAGIC or version != 1:
             raise ValueError(f"bad table magic/version at offset 0: {magic!r} v{version}")
-        table = cls(num_buckets=num_buckets, max_kicks=max_kicks, seed=seed)
         nslots = num_buckets * SLOTS_PER_BUCKET
         off = cls._HEADER.size
         need = off + 3 * nslots + (0 if squeezed else 8 * nslots)
         if len(data) < need:
             raise ValueError(f"truncated table body at offset {len(data)} (need {need})")
+        if len(data) > need:
+            raise ValueError(f"{len(data) - need} trailing bytes at offset {need}")
+        table = cls(num_buckets=num_buckets, max_kicks=max_kicks, seed=seed)
         table._fps = array("H")
         table._fps.frombytes(data[off:off + 2 * nslots])
         off += 2 * nslots

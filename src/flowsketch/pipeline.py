@@ -83,10 +83,13 @@ class SketchEnvelope:
         if magic != cls._MAGIC or version != 1:
             raise ValueError(f"bad envelope magic/version: {magic!r} v{version}")
         off = cls._HEADER.size
-        if len(data) < off + srclen + plen:
+        end = off + srclen + plen
+        if len(data) < end:
             raise ValueError(f"truncated envelope body at offset {len(data)}")
+        if len(data) > end:
+            raise ValueError(f"{len(data) - end} trailing bytes at offset {end}")
         source = data[off:off + srclen].decode()
-        payload = data[off + srclen:off + srclen + plen]
+        payload = data[off + srclen:end]
         return cls(payload=payload, source=source, window_id=wid,
                    window_start=wstart, window_end=wend, arrival_ts=arrival)
 

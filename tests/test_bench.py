@@ -157,6 +157,10 @@ class TestSensitivity:
         result = run_sensitivity(small_config(), "policy",
                                  values=("hdw", "uniform"))
         assert [row["policy"] for row in result["series"]] == ["hdw", "uniform"]
+        # the policy reaches the sketch: a uniform split scores differently
+        hdw, uniform = ({k: v for k, v in row.items() if k != "policy"}
+                        for row in result["series"])
+        assert hdw != uniform
 
     def test_epoch_reuse(self):
         result = run_sensitivity(small_config(), "epochs", values=(1, 2))

@@ -8,6 +8,7 @@ from flowsketch.clustering import (
     InvalidInputError,
     _lloyd,
     allocate_buckets,
+    assign_nearest,
     cluster_stats,
     kmeans_potential,
     nearest_center,
@@ -188,15 +189,15 @@ class TestAllocateBuckets:
 class TestNearestCenter:
     def test_closest(self):
         model = make_model([10, 50, 90])
-        assert nearest_center(model, 12) == 0
+        assert nearest_center(model.centers, 12) == 0
 
     def test_tie_breaks_low(self):
         model = make_model([10, 50, 90])
-        assert nearest_center(model, 30) == 0
+        assert nearest_center(model.centers, 30) == 0
 
     def test_clamps_to_last(self):
         model = make_model([10, 50, 90])
-        assert nearest_center(model, 10_000) == 2
+        assert nearest_center(model.centers, 10_000) == 2
 
     def test_agrees_with_linear_scan(self):
         rng = np.random.default_rng(17)
@@ -205,7 +206,17 @@ class TestNearestCenter:
         values = rng.uniform(-10, 1100, size=10_000)
         for v in values:
             expected = min(range(30), key=lambda j: (abs(v - centers[j]), j))
-            assert nearest_center(model, v) == expected
+            assert nearest_center(model.centers, v) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(centers=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+           values=st.lists(st.floats(-10.0, 1.1e6), max_size=20))
+    def test_matches_assign_nearest(self, centers, values):
+        # integer centers make every midpoint exact, so ties are tested
+        centers = tuple(float(c) for c in sorted(centers))
+        values = values + [(a + b) / 2 for a, b in zip(centers, centers[1:])] + list(centers)
+        expected = [nearest_center(centers, v) for v in values]
+        assert assign_nearest(np.asarray(centers), values).tolist() == expected
 
 
 class TestModelSerialization:

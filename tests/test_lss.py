@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsketch.baselines import DenseMapping, autoencoder_oracle
-from flowsketch.clustering import ClusterModel, InvalidInputError
+from flowsketch.clustering import ClusterModel, InvalidInputError, allocate_buckets
 from flowsketch.hashing import key_digest
 from flowsketch.lss import BucketUnderflowError, KeyNotFoundError, LssSketch
 from flowsketch.membership import CuckooTable
@@ -74,8 +75,7 @@ def foreign_fingerprint_sketch(seed=13, m=64):
     """A sketch holding one key in a one-bucket membership table, plus a
     key never inserted whose fingerprint matches the held one and whose
     own bucket is empty."""
-    sketch = LssSketch(single_cluster_model(), m, hash_seed=seed,
-                       membership=CuckooTable(num_buckets=1, seed=seed))
+    sketch = LssSketch(single_cluster_model(), m, hash_seed=seed, expected_flows=1)
     held = b"held"
     sketch.insert(held, 5)
     held_h, held_fp, _ = key_digest(held, seed)
@@ -86,6 +86,14 @@ def foreign_fingerprint_sketch(seed=13, m=64):
         if fp == held_fp and bucket_h % m != held_h % m:
             return sketch, held, key
         i += 1
+
+
+def crafted_blob(centers, allocation, m, width=32):
+    """Sketch wire bytes for a given layout: empty buckets, no membership."""
+    head = LssSketch._HEADER.pack(LssSketch._MAGIC, 1, 0, len(centers), m, 0, width)
+    return (head + np.asarray(centers, dtype="<f4").tobytes()
+            + struct.pack(f"<{len(allocation)}I", *allocation)
+            + bytes(2 * m * (width // 8)))
 
 
 class TestConstruction:
@@ -109,6 +117,17 @@ class TestConstruction:
     def test_cluster_count_cap(self):
         with pytest.raises(InvalidInputError):
             LssSketch(uniform_model(257), 300)
+
+    def test_model_allocation_is_used(self):
+        model = uniform_model(5).with_allocation(50, policy="uniform")
+        sketch = LssSketch(model, 50)
+        assert sketch.allocation == [10] * 5
+        assert sketch.allocation != allocate_buckets(model, 50)
+
+    def test_model_allocation_for_other_m_rejected(self):
+        model = uniform_model(5).with_allocation(40)
+        with pytest.raises(InvalidInputError, match="m=50"):
+            LssSketch(model, 50)
 
 
 class TestInsertQuery:
@@ -440,7 +459,7 @@ class TestSerialization:
         sketch = LssSketch(uniform_model(3), 12, hash_seed=3)
         back = LssSketch.from_bytes(sketch.to_bytes())
         assert back.state() == sketch.state()
-        assert back.m == 12 and back.model.k == 3
+        assert back.m == 12 and len(back.centers) == 3
 
     def test_populated_round_trip_preserves_queries(self):
         rng = np.random.default_rng(44)
@@ -469,6 +488,31 @@ class TestSerialization:
             LssSketch.from_bytes(blob[:10])
         with pytest.raises(ValueError, match="magic"):
             LssSketch.from_bytes(b"XXXX" + blob[4:])
+
+    def test_crafted_layout_decodes(self):
+        back = LssSketch.from_bytes(crafted_blob((4.0, 20.0), (5, 7), 12))
+        assert back.centers == (4.0, 20.0)
+        assert back.allocation == [5, 7]
+        assert back.state() == [[(0, 0)] * 5, [(0, 0)] * 7]
+
+    @pytest.mark.parametrize("centers, allocation, m, width", [
+        ((4.0, 20.0), (0, 12), 12, 32),   # an empty bucket array
+        ((20.0, 4.0), (5, 7), 12, 32),    # unsorted centers
+        ((), (), 12, 32),                 # no centers
+        ((4.0, 20.0), (5, 6), 12, 32),    # allocation does not sum to m
+        ((4.0, 20.0), (5, 7), 12, 8),     # unsupported counter width
+    ])
+    def test_bad_layout_rejected(self, centers, allocation, m, width):
+        with pytest.raises(ValueError):
+            LssSketch.from_bytes(crafted_blob(centers, allocation, m, width))
+
+    @pytest.mark.parametrize("with_membership", [False, True])
+    def test_trailing_bytes_rejected(self, with_membership):
+        sketch = LssSketch(uniform_model(3), 12)
+        sketch.insert(b"k", 5)
+        blob = sketch.to_bytes(include_membership=with_membership)
+        with pytest.raises(ValueError, match="trailing"):
+            LssSketch.from_bytes(blob + b"xx")
 
     def test_saturation_flagged_at_narrow_width(self):
         sketch = LssSketch(uniform_model(2), 8, counter_width=16)
@@ -534,9 +578,9 @@ def golden_sketch(width):
     """A hand-built model and fixed keys: migrations, collisions and,
     at width 16, one saturated bucket."""
     model = ClusterModel(centers=(4.0, 20.0, 75.0), entropy=(0.3, 0.6, 0.9),
-                         weight=(0.2, 0.3, 0.5), density=(0.5, 0.3, 0.2))
-    sketch = LssSketch(model, 12, hash_seed=7, counter_width=width, expected_flows=64,
-                       allocation=[3, 4, 5])
+                         weight=(0.2, 0.3, 0.5), density=(0.5, 0.3, 0.2),
+                         allocation=(3, 4, 5))
+    sketch = LssSketch(model, 12, hash_seed=7, counter_width=width, expected_flows=64)
     keys = [f"golden-{i}".encode() for i in range(40)]
     for rnd in range(2):
         for i, key in enumerate(keys):

@@ -216,6 +216,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             CuckooTable.from_bytes(data[: len(data) // 2])
 
+    def test_trailing_bytes_rejected(self):
+        data = CuckooTable(capacity=100, seed=8).to_bytes()
+        with pytest.raises(ValueError, match="trailing"):
+            CuckooTable.from_bytes(data + b"xx")
+
+    def test_zero_buckets_rejected(self):
+        head = CuckooTable._HEADER.pack(CuckooTable._MAGIC, 1, 1, 500, 0, 8)
+        with pytest.raises(ValueError, match="power of two"):
+            CuckooTable.from_bytes(head)
+
 
 def test_fingerprint_never_zero():
     for i in range(20_000):

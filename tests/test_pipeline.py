@@ -6,7 +6,6 @@ import pytest
 from flowsketch.clustering import ClusterModel, InvalidInputError
 from flowsketch.hashing import key_digest
 from flowsketch.lss import LssSketch
-from flowsketch.membership import CuckooTable
 from flowsketch.pipeline import (
     FlowRecord,
     IngestStage,
@@ -147,6 +146,12 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             SketchEnvelope.from_bytes(b"short")
 
+    def test_trailing_bytes_rejected(self):
+        stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
+        env = stage.feed(FlowRecord(b"a", 5), ts=1)
+        with pytest.raises(ValueError, match="trailing"):
+            SketchEnvelope.from_bytes(env.to_bytes() + b"xx")
+
 
 class TestSketchStore:
     def put_envelopes(self, store, count, source="s"):
@@ -191,6 +196,17 @@ class TestSketchStore:
             envs = store.range(0, 10_000)
         assert len(envs) == 1
         assert any("corrupt" in r.message for r in caplog.records)
+
+    def test_envelope_with_trailing_bytes_skipped_with_warning(self, tmp_path, caplog):
+        store = SketchStore(str(tmp_path / "store"))
+        self.put_envelopes(store, 2)
+        files = sorted(p for p in (tmp_path / "store").iterdir()
+                       if p.suffix == ".env")
+        files[1].write_bytes(files[1].read_bytes() + b"xx")
+        with caplog.at_level(logging.WARNING):
+            envs = store.range(0, 10_000)
+        assert [e.window_id for e in envs] == [0]
+        assert any("trailing" in r.message for r in caplog.records)
 
 
 class TestNetworkWideQuery:
@@ -267,8 +283,7 @@ class TestForeignFingerprint:
     def fill_store(self, tmp_path):
         model = ClusterModel(centers=(10.0,), entropy=(0.0,), weight=(1.0,), density=(1.0,))
         # one membership bucket, so a fingerprint match alone is a hit
-        first = LssSketch(model, self.M, hash_seed=self.SEED,
-                          membership=CuckooTable(num_buckets=1, seed=self.SEED))
+        first = LssSketch(model, self.M, hash_seed=self.SEED, expected_flows=1)
         held = b"held"
         first.insert(held, 5)
         held_h, held_fp, _ = key_digest(held, self.SEED)
@@ -323,6 +338,23 @@ class TestForeignFingerprint:
 
 
 class TestEndToEnd:
+    def test_early_rotation_conserves_value_and_flows(self, tmp_path, caplog):
+        # a 128-slot membership table (10 flows per bucket at m=10) fills
+        # long before the one time window ends, so the stage rotates early
+        # several times; the flow that found the table full goes into the
+        # next window only
+        packets, totals = generate_packets(3, 600, 1.1, 4.0)
+        store = SketchStore(str(tmp_path / "store"))
+        with caplog.at_level(logging.WARNING):
+            stats = run_pipeline(packets, small_model(5), 10, store,
+                                 window=WindowConfig("time", 1 << 62))
+        assert any("rotating early" in r.message for r in caplog.records)
+        sketches = [e.sketch() for e in store.range(0, 1 << 62)]
+        assert len(sketches) > 1
+        assert stats.packet_bytes == stats.sketched_value == sum(totals.values())
+        assert sum(s.total_value() for s in sketches) == sum(totals.values())
+        assert sum(s.cardinality() for s in sketches) == len(totals)
+
     def test_conservation_and_fifo_small(self, tmp_path):
         packets, totals = generate_packets(9, 400, 1.1, 3.0)
         store = SketchStore(str(tmp_path / "store"))
