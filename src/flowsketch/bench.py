@@ -22,7 +22,8 @@ import numpy as np
 
 from .baselines import CmSketch, CsSketch
 from .clustering import ClusterModel, InvalidInputError, train_model
-from .lss import BucketUnderflowError, LssSketch, sketch_bytes
+from .lss import BucketUnderflowError, KeyNotFoundError, LssSketch, sketch_bytes
+from .membership import CuckooTable
 from .metrics import GroundTruth, entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
 
@@ -31,11 +32,12 @@ DEFAULT_RATIO = 0.1
 DEFAULT_CLUSTERS = 30
 DEFAULT_HH_PERCENTILE = 90.0
 DEFAULT_TRAIN_SAMPLES = 10_000
+SKETCH_KINDS = ("lss", "cm", "cs")  # also the order of a report's rows
 
 
 @dataclass
 class BenchmarkConfig:
-    sketches: tuple[str, ...] = ("lss", "cm", "cs")
+    sketches: tuple[str, ...] = SKETCH_KINDS
     ratios: tuple[float, ...] = (DEFAULT_RATIO,)
     window: int = DEFAULT_WINDOW
     clusters: int = DEFAULT_CLUSTERS
@@ -49,7 +51,6 @@ class BenchmarkConfig:
     train_samples: int = DEFAULT_TRAIN_SAMPLES
     banks: int = 3
     allocation_policy: str = "hdw"
-    parallel: bool = False
 
     def __post_init__(self):
         for r in self.ratios:
@@ -60,7 +61,7 @@ class BenchmarkConfig:
         if not 0 < self.hh_percentile < 100:
             raise InvalidInputError("hh percentile must be in (0, 100)")
         for s in self.sketches:
-            if s not in ("lss", "cm", "cs"):
+            if s not in SKETCH_KINDS:
                 raise InvalidInputError(f"unknown sketch kind {s!r}")
 
 
@@ -115,7 +116,10 @@ def _evaluate(name: str, query, truth: GroundTruth, memory_bytes: int,
     rel_errors = []
     estimates = []
     for k in keys:
-        est = query(k)
+        try:
+            est = query(k)
+        except KeyNotFoundError:  # a flow the clustered sketch lost scores as 0
+            est = 0.0
         estimates.append(est)
         rel_errors.append(relative_error(truth.total(k), est))
     rel = np.asarray(rel_errors)
@@ -169,74 +173,61 @@ def split_windows(records, window: int) -> list[list]:
     return windows
 
 
+def _fill_lss(sketch: LssSketch, records) -> int:
+    """Insert every record; returns how many increments landed on a
+    fingerprint-merged flow (counted, not fatal)."""
+    merged = 0
+    for key, value in records:
+        try:
+            sketch.insert_duplicate(key, value)
+        except BucketUnderflowError:
+            merged += 1
+    return merged
+
+
 def _run_window(config: BenchmarkConfig, model, m: int, k: int,
-                window_records, hh_threshold: float) -> tuple[dict, dict]:
-    """Evaluate every configured sketch on one window slice."""
+                window_records, hh_threshold: float) -> dict:
+    """Fill and score every configured sketch on one window slice, one
+    sketch at a time, in SKETCH_KINDS order."""
     truth = GroundTruth()
     for key, value in window_records:
         truth.add(key, value)
     n_flows = truth.cardinality()
 
     # every structure additionally needs key tracking to answer the
-    # query tasks, so all of them carry the same squeezed membership
-    # table; the counter budget for the baselines therefore matches
+    # query tasks, so all of them carry the squeezed membership table
+    # of a window-sized clustered sketch, whether or not that sketch is
+    # in the run; the counter budget for the baselines therefore matches
     # the clustered sketch's bucket arrays plus centers, and totals
     # including membership agree to within one bucket
-    sketches = {}
+    membership_bytes = CuckooTable(capacity=config.window).squeeze().memory_bytes()
     sketch_budget = sketch_bytes(m, k, config.counter_width)
-    membership_bytes = 0
-    if "lss" in config.sketches:
-        sketches["lss"] = LssSketch(model, m, hash_seed=config.seed,
-                                    counter_width=config.counter_width,
-                                    expected_flows=config.window)
-        membership_bytes = sketches["lss"].memory_bytes() - sketch_budget
-    counter_bytes = config.counter_width // 8
-    per_bank = max(1, round(sketch_budget / (config.banks * counter_bytes)))
-    m_flat = config.banks * per_bank
-    if "cm" in config.sketches:
-        sketches["cm"] = CmSketch(m_flat, c=config.banks, seed=config.seed)
-    if "cs" in config.sketches:
-        sketches["cs"] = CsSketch(m_flat, c=config.banks, seed=config.seed)
-
-    timing = {"insert_seconds": {}, "query_seconds": {}}
-    merged_events = 0
-    for name, sketch in sketches.items():
-        t0 = time.perf_counter()
+    per_bank = max(1, round(sketch_budget / (config.banks * (config.counter_width // 8))))
+    rows = {}
+    for name in SKETCH_KINDS:
+        if name not in config.sketches:
+            continue
         if name == "lss":
-            for key, value in window_records:
-                try:
-                    sketch.insert_duplicate(key, value)
-                except BucketUnderflowError:
-                    merged_events += 1
+            sketch = LssSketch(model, m, hash_seed=config.seed,
+                               counter_width=config.counter_width,
+                               expected_flows=config.window)
+            merged = _fill_lss(sketch, window_records)
+            own_bytes = sketch.sketch_bytes()
+            extra = {
+                "cardinality_error": abs(sketch.cardinality() - n_flows) / n_flows,
+                "merged_flow_events": merged,
+            }
         else:
+            kind = CmSketch if name == "cm" else CsSketch
+            sketch = kind(config.banks * per_bank, c=config.banks, seed=config.seed)
             for key, value in window_records:
                 sketch.insert(key, value)
-        timing["insert_seconds"][name] = time.perf_counter() - t0
-
-    rows = {}
-    for name, sketch in sketches.items():
-        if name == "lss":
-            memory = sketch.memory_bytes(include_membership=True)
-            extra = {
-                "sketch_bytes": sketch.sketch_bytes(),
-                "membership_bytes": membership_bytes,
-                "cardinality_error": abs(sketch.cardinality() - n_flows) / n_flows,
-                "merged_flow_events": merged_events,
-            }
-        else:
-            memory = sketch.memory_bytes(config.counter_width) + membership_bytes
-            extra = {
-                "sketch_bytes": sketch.memory_bytes(config.counter_width),
-                "membership_bytes": membership_bytes,
-            }
-        t0 = time.perf_counter()
-        rows[name] = _evaluate(name, sketch.query, truth, memory, hh_threshold, extra)
-        timing["query_seconds"][name] = time.perf_counter() - t0
-    return rows, timing
-
-
-def _window_worker(args):
-    return _run_window(*args)
+            own_bytes = sketch.memory_bytes(config.counter_width)
+            extra = {}
+        extra.update(sketch_bytes=own_bytes, membership_bytes=membership_bytes)
+        rows[name] = _evaluate(name, sketch.query, truth, own_bytes + membership_bytes,
+                               hh_threshold, extra)
+    return rows
 
 
 _MERGE_MEAN = ("entropy_re", "cardinality_error")
@@ -272,48 +263,23 @@ def _merge_window_rows(per_window: list[dict]) -> dict:
 def run_benchmark(config: BenchmarkConfig) -> dict:
     """Replay the configured trace, window by window, through every
     sketch kind at every buckets-to-flows ratio, scoring all tasks
-    against exact ground truth. Windows are independent, so --parallel
-    shards them across processes and merges in window order."""
+    against exact ground truth. A key the clustered sketch cannot
+    answer scores as an estimate of 0."""
     t_start = time.perf_counter()
     records, truth = load_records(config)
-    n_flows = truth.cardinality()
     samples = training_samples(records, config.train_samples)
     hh_threshold = float(np.percentile(np.asarray(samples, dtype=np.float64),
                                        config.hh_percentile))
     windows = split_windows(records, config.window)
     rows = []
-    timing = {"trace_records": len(records), "n_windows": len(windows),
-              "insert_seconds": {}, "query_seconds": {}}
     for ratio in config.ratios:
         model, m, k = fit_model(config, samples, ratio)
-        jobs = [(config, model, m, k, w, hh_threshold) for w in windows]
-        if config.parallel and len(jobs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor() as pool:
-                results = list(pool.map(_window_worker, jobs))
-        else:
-            results = [_run_window(*job) for job in jobs]
-        for name in results[0][0]:
-            merged = _merge_window_rows([rows_w[name] for rows_w, _ in results])
-            merged["ratio"] = ratio
-            merged["m"] = m
-            merged["clusters"] = k
+        per_window = [_run_window(config, model, m, k, w, hh_threshold) for w in windows]
+        for name in per_window[0]:
+            merged = _merge_window_rows([rows_w[name] for rows_w in per_window])
+            merged.update(ratio=ratio, m=m, clusters=k)
             rows.append(merged)
-        for _, window_timing in results:
-            for section in ("insert_seconds", "query_seconds"):
-                for name, seconds in window_timing[section].items():
-                    key = f"{name}@{ratio}"
-                    timing[section][key] = timing[section].get(key, 0.0) + seconds
-    timing["insert_per_second"] = {
-        key: len(records) / seconds if seconds > 0 else None
-        for key, seconds in timing["insert_seconds"].items()
-    }
-    timing["query_per_second"] = {
-        key: n_flows / seconds if seconds > 0 else None
-        for key, seconds in timing["query_seconds"].items()
-    }
-    timing["total_seconds"] = time.perf_counter() - t_start
-    report = {
+    return {
         "config": {
             "sketches": list(config.sketches),
             "ratios": list(config.ratios),
@@ -329,14 +295,13 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
             "train_samples": config.train_samples,
             "banks": config.banks,
             "allocation_policy": config.allocation_policy,
-            "parallel": config.parallel,
         },
-        "n_flows": n_flows,
+        "n_flows": truth.cardinality(),
         "hh_threshold": hh_threshold,
         "rows": rows,
-        "timing": timing,
+        "timing": {"trace_records": len(records),
+                   "total_seconds": time.perf_counter() - t_start},
     }
-    return report
 
 
 def report_json(report: dict, include_timing: bool = False) -> str:
@@ -428,11 +393,7 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
         sketch = LssSketch(model, m, hash_seed=config.seed,
                            counter_width=config.counter_width,
                            expected_flows=config.window)
-        for key, value in records:
-            try:
-                sketch.insert_duplicate(key, value)
-            except BucketUnderflowError:
-                pass
+        _fill_lss(sketch, records)
         row = _evaluate("lss", sketch.query, truth,
                         sketch.memory_bytes(), hh_threshold)
         series.append({"epoch": int(epoch), **_lss_summary(row)})

@@ -7,19 +7,19 @@ import sys
 
 from . import bench
 from .bench import BenchmarkConfig, report_json, report_table, run_benchmark, run_sensitivity
-from .pipeline import SketchStore, WindowConfig, network_wide_query, run_pipeline
+from .pipeline import QUERY_TASKS, SketchStore, WindowConfig, network_wide_query, run_pipeline
 from .traces import gen_trace, gen_uniform_trace, read_trace
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_model_options(p: argparse.ArgumentParser, ratio: bool = True) -> None:
+    """Options of the subcommands that fit a cluster model to a trace."""
     p.add_argument("--window", type=int, default=bench.DEFAULT_WINDOW,
                    help="flows per sliding window")
-    p.add_argument("--ratio", type=float, default=bench.DEFAULT_RATIO,
-                   help="buckets per flow (m/N)")
+    if ratio:
+        p.add_argument("--ratio", type=float, default=bench.DEFAULT_RATIO,
+                       help="buckets per flow (m/N)")
     p.add_argument("--clusters", type=int, default=bench.DEFAULT_CLUSTERS)
-    p.add_argument("--hh-percentile", type=float, default=bench.DEFAULT_HH_PERCENTILE)
     p.add_argument("--train-samples", type=int, default=bench.DEFAULT_TRAIN_SAMPLES)
-    p.add_argument("--counter-width", type=int, default=32, choices=(16, 32, 64))
     p.add_argument("--seed", type=int, default=1)
 
 
@@ -44,24 +44,27 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a cluster model from a trace")
     t.add_argument("trace")
     t.add_argument("out", help="output model JSON path")
-    _add_common(t)
+    _add_model_options(t)
 
     b = sub.add_parser("bench", help="compare sketches on one trace")
     b.add_argument("--trace", help="CSV trace; omitted -> generated Zipf trace")
-    b.add_argument("--ratios", type=float, nargs="+", default=[bench.DEFAULT_RATIO])
-    b.add_argument("--sketches", nargs="+", default=["lss", "cm", "cs"],
-                   choices=["lss", "cm", "cs"])
+    b.add_argument("--ratios", type=float, nargs="+", default=[bench.DEFAULT_RATIO],
+                   help="buckets per flow (m/N), one comparison each")
+    b.add_argument("--sketches", nargs="+", default=list(bench.SKETCH_KINDS),
+                   choices=bench.SKETCH_KINDS)
     b.add_argument("--out", help="write canonical JSON report here")
     b.add_argument("--check", action="store_true",
                    help="exit nonzero unless the clustered sketch beats the baselines")
-    b.add_argument("--parallel", action="store_true",
-                   help="shard independent windows across worker processes")
-    _add_common(b)
+    _add_model_options(b, ratio=False)
+    b.add_argument("--hh-percentile", type=float, default=bench.DEFAULT_HH_PERCENTILE)
+    b.add_argument("--counter-width", type=int, default=32, choices=(16, 32, 64),
+                   help="bits per counter in the memory accounting")
 
     s = sub.add_parser("sweep", help="sensitivity sweep along one axis")
     s.add_argument("axis", choices=list(bench.SENSITIVITY_AXES))
     s.add_argument("--out")
-    _add_common(s)
+    _add_model_options(s)
+    s.add_argument("--hh-percentile", type=float, default=bench.DEFAULT_HH_PERCENTILE)
 
     p = sub.add_parser("pipeline", help="run ingestion -> sketching -> store")
     p.add_argument("trace")
@@ -69,16 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ingest-capacity", type=int, default=1000)
     p.add_argument("--time-window-ns", type=int,
                    help="use a time window of this many nanoseconds")
-    _add_common(p)
+    _add_model_options(p)
 
     q = sub.add_parser("query", help="network-wide query over a store directory")
     q.add_argument("store")
-    q.add_argument("task", choices=["flow-size", "entropy", "heavy-hitters",
-                                    "cardinality", "heavy-changes"])
+    q.add_argument("task", choices=QUERY_TASKS)
     q.add_argument("--t0", type=int, default=0)
     q.add_argument("--t1", type=int, default=(1 << 62))
     q.add_argument("--keys-from", help="trace whose flow keys to query")
     q.add_argument("--threshold", type=float)
+    for command in sub.choices.values():  # exact names only: --ratio is not --ratios
+        command.allow_abbrev = False
     return parser
 
 
@@ -93,13 +97,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _trained_model(args):
+    """The cluster model the options ask for, fitted to the first
+    --train-samples flows of the trace; returns (model, m)."""
     config = BenchmarkConfig(trace_path=args.trace, seed=args.seed,
                              clusters=args.clusters, window=args.window,
                              train_samples=args.train_samples)
     records, _ = bench.load_records(config)
     samples = bench.training_samples(records, args.train_samples)
-    model, _, _ = bench.fit_model(config, samples, args.ratio)
+    model, m, _ = bench.fit_model(config, samples, args.ratio)
+    return model, m
+
+
+def _cmd_train(args) -> int:
+    model, _ = _trained_model(args)
     with open(args.out, "w") as fh:
         json.dump(model.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -113,7 +124,6 @@ def _cmd_bench(args) -> int:
         window=args.window, clusters=args.clusters,
         hh_percentile=args.hh_percentile, counter_width=args.counter_width,
         seed=args.seed, trace_path=args.trace, train_samples=args.train_samples,
-        parallel=args.parallel,
     )
     report = run_benchmark(config)
     if args.out:
@@ -165,8 +175,7 @@ def check_report(report: dict) -> bool:
 def _cmd_sweep(args) -> int:
     config = BenchmarkConfig(
         ratios=(args.ratio,), window=args.window, clusters=args.clusters,
-        hh_percentile=args.hh_percentile, counter_width=args.counter_width,
-        seed=args.seed, train_samples=args.train_samples,
+        hh_percentile=args.hh_percentile, seed=args.seed, train_samples=args.train_samples,
     )
     result = run_sensitivity(config, args.axis)
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
@@ -178,12 +187,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = BenchmarkConfig(trace_path=args.trace, seed=args.seed,
-                             window=args.window, clusters=args.clusters,
-                             train_samples=args.train_samples)
-    records, _ = bench.load_records(config)
-    samples = bench.training_samples(records, args.train_samples)
-    model, m, _ = bench.fit_model(config, samples, args.ratio)
+    model, m = _trained_model(args)
     if args.time_window_ns:
         window = WindowConfig(mode="time", capacity=args.time_window_ns)
     else:

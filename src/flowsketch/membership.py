@@ -118,11 +118,11 @@ class CuckooTable:
                     return
         # both candidates full: displace a random victim and chase it
         i = self._rng.choice((i1, i2))
+        kicked = []
         for _ in range(self.max_kicks):
             victim = i * SLOTS_PER_BUCKET + self._rng.randrange(SLOTS_PER_BUCKET)
-            fp, self._fps[victim] = self._fps[victim], fp
-            cluster_index, self._cis[victim] = self._cis[victim], cluster_index
-            value, self._vals[victim] = self._vals[victim], value
+            kicked.append(victim)
+            fp, cluster_index, value = self._swap(victim, fp, cluster_index, value)
             i = self._alt_index(i, fp)
             base = i * SLOTS_PER_BUCKET
             for s in range(base, base + SLOTS_PER_BUCKET):
@@ -131,6 +131,10 @@ class CuckooTable:
                     self._write(s, cluster_index, value)
                     self.occupied += 1
                     return
+        # undo the chain in reverse, so every held entry is back in its
+        # slot and only the new one is left out
+        for victim in reversed(kicked):
+            fp, cluster_index, value = self._swap(victim, fp, cluster_index, value)
         raise TableFullError(
             f"insert failed after {self.max_kicks} displacements "
             f"(load factor {self.load_factor:.3f})"
@@ -142,12 +146,20 @@ class CuckooTable:
         self._cis[slot] = cluster_index
         self._vals[slot] = value
 
+    def _swap(self, slot: int, fp: int, cluster_index: int, value: int) -> tuple[int, int, int]:
+        """Put an entry in an open table's slot; returns the entry that
+        was there."""
+        old = self._fps[slot], self._cis[slot], self._vals[slot]
+        self._fps[slot] = fp
+        self._write(slot, cluster_index, value)
+        return old
+
     # -- key-level API --------------------------------------------------
 
     def insert(self, key: bytes, cluster_index: int, value: int = 0) -> None:
         """Insert a new key. Raises TableFullError when the eviction
-        chain exceeds max_kicks; the caller rotates the window or grows
-        the table."""
+        chain exceeds max_kicks, with the table as it was before the
+        call; the caller rotates the window or grows the table."""
         fp, i1 = self._fp_and_index(key)
         self._insert_fp(fp, i1, cluster_index, value)
 

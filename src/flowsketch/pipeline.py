@@ -147,13 +147,12 @@ class SketchingStage:
 
     def __init__(self, model: ClusterModel, m: int, window: WindowConfig,
                  source: str = "sketch-0", hash_seed: int = 0,
-                 counter_width: int = 32, expected_flows: int | None = None):
+                 expected_flows: int | None = None):
         self.model = model
         self.m = m
         self.window = window
         self.source = source
         self.hash_seed = hash_seed
-        self.counter_width = counter_width
         self.expected_flows = expected_flows or (
             window.capacity if window.mode == "sequence" else 10 * m)
         self._window_id = 0
@@ -164,7 +163,6 @@ class SketchingStage:
 
     def _new_sketch(self) -> LssSketch:
         return LssSketch(self.model, self.m, hash_seed=self.hash_seed,
-                         counter_width=self.counter_width,
                          expected_flows=self.expected_flows)
 
     def _window_bounds(self, ts: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import pytest
 
 from flowsketch.bench import (
     BenchmarkConfig,
+    _evaluate,
     load_records,
     report_json,
     report_table,
@@ -12,6 +13,8 @@ from flowsketch.bench import (
     training_samples,
 )
 from flowsketch.clustering import InvalidInputError
+from flowsketch.lss import KeyNotFoundError
+from flowsketch.metrics import GroundTruth
 
 
 def small_config(**overrides):
@@ -99,17 +102,33 @@ class TestRunBenchmark:
         report = run_benchmark(config)
         assert all(r["windows"] == 3 for r in report["rows"])
 
-    def test_parallel_windows_match_sequential(self, tmp_path):
-        from flowsketch.traces import gen_trace
-        path = tmp_path / "multi.csv"
-        gen_trace(3, 1600, 1.1, 3.0, str(path))
-        seq = run_benchmark(small_config(trace_path=str(path)))
-        par = run_benchmark(small_config(trace_path=str(path), parallel=True))
-        seq_doc = json.loads(report_json(seq))
-        par_doc = json.loads(report_json(par))
-        seq_doc["config"].pop("parallel")
-        par_doc["config"].pop("parallel")
-        assert seq_doc == par_doc
+    def test_membership_charged_without_lss(self):
+        full = {r["sketch"]: r for r in run_benchmark(small_config())["rows"]}
+        baselines = run_benchmark(small_config(sketches=("cm", "cs")))["rows"]
+        for row in baselines:
+            for field in ("membership_bytes", "memory_bytes"):
+                assert row[field] == full[row["sketch"]][field]
+
+    def test_unanswerable_key_scores_zero(self):
+        truth = GroundTruth()
+        for key, value in ((b"a", 10), (b"lost", 20), (b"c", 40)):
+            truth.add(key, value)
+
+        def query(key):
+            if key == b"lost":
+                raise KeyNotFoundError(key)
+            return float(truth.total(key))
+
+        row = _evaluate("lss", query, truth, 0, 15.0)
+        assert row["flow_size"]["mean_re"] == pytest.approx(1 / 3)  # errors 0, 1, 0
+        assert row["heavy_hitters"]["recall"] == 0.5
+
+    def test_fingerprint_merged_flow_does_not_stop_the_run(self):
+        # seed 55 at ratio 0.1 holds a flow whose fingerprint merged
+        # into another flow's slot, leaving its own bucket empty
+        report = run_benchmark(BenchmarkConfig(ratios=(0.1,), seed=55, sketches=("lss",)))
+        (row,) = report["rows"]
+        assert row["heavy_hitters"]["f1"] >= 0.95
 
 
 class TestDeterminism:

@@ -55,6 +55,23 @@ class TestBench:
                        "--train-samples", 2000, "--ratios", 0.1, "--check") == 0
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--parallel"),
+        ("bench", "--ratio", "0.1"),
+        ("train", "t.csv", "m.json", "--counter-width", "32"),
+        ("train", "t.csv", "m.json", "--hh-percentile", "90"),
+        ("pipeline", "t.csv", "store", "--counter-width", "32"),
+        ("pipeline", "t.csv", "store", "--hh-percentile", "90"),
+        ("sweep", "ratio", "--counter-width", "32"),
+    ], ids=lambda argv: argv[0] + "-" + next(a for a in argv if a.startswith("--"))[2:])
+    def test_unhonoured_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_clusters(self, capsys):
         assert run_cli("sweep", "clusters", "--window", 400, "--seed", 2,

@@ -60,6 +60,22 @@ class TestInsertLookup:
         with pytest.raises(TableFullError):
             table.insert(keys[4], 0, 0)
 
+    def test_failed_kick_chain_leaves_table_unchanged(self):
+        # five keys whose candidate buckets are both bucket 0: the fifth
+        # kicks until max_kicks, then every displacement is undone
+        for seed in range(20):
+            table = CuckooTable(num_buckets=2, seed=seed)
+            keys = keys_with_primary_bucket(table, 0, 5, same_alt=True)
+            for j, key in enumerate(keys[:4]):
+                table.insert(key, j, 10 + j)
+            before = table.to_bytes()
+            with pytest.raises(TableFullError):
+                table.insert(keys[4], 4, 14)
+            assert table.to_bytes() == before, seed
+            assert table.occupied == 4
+            for j, key in enumerate(keys[:4]):
+                assert table.lookup(key) == (j, 10 + j), seed
+
     def test_load_factor_capped(self):
         table = CuckooTable(num_buckets=4, max_kicks=500, seed=3)
         with pytest.raises(TableFullError):
