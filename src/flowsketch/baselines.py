@@ -28,8 +28,18 @@ from .clustering import int_value
 from .hashing import bank_hash
 
 
-class CmSketch:
-    """Count-Min: c banks of m/c counters, query = min of mapped counters."""
+def bank_hashes(key: bytes, seed: int, c: int) -> tuple[tuple[int, int], ...]:
+    """The (index_hash, sign) pair of each of c banks, as bank_hash gives
+    them. Count-Min and Count-Sketch of the same seed and bank count
+    share these, whatever their widths."""
+    return tuple([bank_hash(key, seed, j) for j in range(c)])
+
+
+class _Banks:
+    """c banks of m // c counters; a key's counter in bank j is at its
+    j-th index hash modulo the bank width. insert and query hash the key
+    with bank_hashes and hand the pairs to their *_hashed forms, which
+    a caller that meets a key many times can use directly."""
 
     def __init__(self, m: int, c: int = 3, seed: int = 0):
         if m < c or c < 1:
@@ -39,27 +49,34 @@ class CmSketch:
         self.seed = seed
         self.banks = [[0] * self.width for _ in range(c)]
 
-    def insert(self, key: bytes, value: int) -> None:
-        value = int_value(value)
-        if value < 0:
-            raise ValueError("values must be non-negative")
-        for j in range(self.c):
-            idx, _ = bank_hash(key, self.seed, j)
-            self.banks[j][idx % self.width] += value
-
-    def query(self, key: bytes) -> int:
-        est = None
-        for j in range(self.c):
-            idx, _ = bank_hash(key, self.seed, j)
-            v = self.banks[j][idx % self.width]
-            est = v if est is None else min(est, v)
-        return est
-
     def memory_bytes(self, counter_width: int = 32) -> int:
         return self.c * self.width * (counter_width // 8)
 
 
-class CsSketch:
+class CmSketch(_Banks):
+    """Count-Min: c banks of m/c counters, query = min of mapped counters."""
+
+    def insert(self, key: bytes, value: int) -> None:
+        self.insert_hashed(bank_hashes(key, self.seed, self.c), value)
+
+    def insert_hashed(self, hashes, value: int) -> None:
+        """insert() with the key's bank_hashes() already computed."""
+        value = int_value(value)
+        if value < 0:
+            raise ValueError("values must be non-negative")
+        width = self.width
+        for bank, (idx, _) in zip(self.banks, hashes, strict=True):
+            bank[idx % width] += value
+
+    def query(self, key: bytes) -> int:
+        return self.query_hashed(bank_hashes(key, self.seed, self.c))
+
+    def query_hashed(self, hashes) -> int:
+        width = self.width
+        return min([bank[idx % width] for bank, (idx, _) in zip(self.banks, hashes, strict=True)])
+
+
+class CsSketch(_Banks):
     """Count-Sketch: signed counters, query = median of sign-corrected reads.
 
     The median over an even bank count takes the lower middle value so
@@ -68,34 +85,32 @@ class CsSketch:
     query_raw() exposes the unclamped estimator.
     """
 
-    def __init__(self, m: int, c: int = 3, seed: int = 0):
-        if m < c or c < 1:
-            raise ValueError(f"need at least one counter per bank (m={m}, c={c})")
-        self.c = c
-        self.width = m // c
-        self.seed = seed
-        self.banks = [[0] * self.width for _ in range(c)]
-
     def insert(self, key: bytes, value: int) -> None:
+        self.insert_hashed(bank_hashes(key, self.seed, self.c), value)
+
+    def insert_hashed(self, hashes, value: int) -> None:
+        """insert() with the key's bank_hashes() already computed."""
         value = int_value(value)
         if value < 0:
             raise ValueError("values must be non-negative")
-        for j in range(self.c):
-            idx, sign = bank_hash(key, self.seed, j)
-            self.banks[j][idx % self.width] += sign * value
+        width = self.width
+        for bank, (idx, sign) in zip(self.banks, hashes, strict=True):
+            bank[idx % width] += sign * value
 
     def query_raw(self, key: bytes) -> float:
-        reads = []
-        for j in range(self.c):
-            idx, sign = bank_hash(key, self.seed, j)
-            reads.append(sign * self.banks[j][idx % self.width])
+        return self.query_raw_hashed(bank_hashes(key, self.seed, self.c))
+
+    def query_raw_hashed(self, hashes) -> float:
+        width = self.width
+        reads = [sign * bank[idx % width]
+                 for bank, (idx, sign) in zip(self.banks, hashes, strict=True)]
         return float(statistics.median_low(reads))
 
     def query(self, key: bytes) -> float:
-        return max(0.0, self.query_raw(key))
+        return self.query_hashed(bank_hashes(key, self.seed, self.c))
 
-    def memory_bytes(self, counter_width: int = 32) -> int:
-        return self.c * self.width * (counter_width // 8)
+    def query_hashed(self, hashes) -> float:
+        return max(0.0, self.query_raw_hashed(hashes))
 
 
 def expected_noisy_fraction(m: int, n: int, c: int = 1) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import CmSketch, CsSketch
+from .baselines import CmSketch, CsSketch, bank_hashes
 from .clustering import ClusterModel, InvalidInputError, train_model
 from .lss import BucketUnderflowError, KeyNotFoundError, LssSketch, sketch_bytes
 from .membership import CuckooTable
@@ -185,15 +185,33 @@ def _fill_lss(sketch: LssSketch, records) -> int:
     return merged
 
 
-def _run_window(config: BenchmarkConfig, model, m: int, k: int,
-                window_records, hh_threshold: float) -> dict:
-    """Fill and score every configured sketch on one window slice, one
-    sketch at a time, in SKETCH_KINDS order."""
+def _run_window(config: BenchmarkConfig, fits, window_records, hh_threshold: float) -> list[dict]:
+    """Score one window slice at each (model, m, k) fit; returns one
+    {sketch: row} per fit.
+
+    The window's exact totals, and its keys' bank hashes when a
+    baseline runs, are built once here and shared by every ratio, so
+    at most one window's hashes are held at a time. The clustered
+    sketch replays the records, since its incremental path (migrations,
+    merged-flow events) is part of what is scored; Count-Min and
+    Count-Sketch are linear, so inserting each flow's total leaves the
+    same counters as replaying its fragments."""
     truth = GroundTruth()
     for key, value in window_records:
         truth.add(key, value)
-    n_flows = truth.cardinality()
+    hashes = None
+    if "cm" in config.sketches or "cs" in config.sketches:
+        hashes = {key: bank_hashes(key, config.seed, config.banks) for key in truth.totals}
+    return [_score_fit(config, fit, window_records, truth, hashes, hh_threshold)
+            for fit in fits]
 
+
+def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
+               hashes: dict | None, hh_threshold: float) -> dict:
+    """Fill and score every configured sketch at one fit, one sketch at
+    a time, in SKETCH_KINDS order."""
+    model, m, k = fit
+    n_flows = truth.cardinality()
     # every structure additionally needs key tracking to answer the
     # query tasks, so all of them carry the squeezed membership table
     # of a window-sized clustered sketch, whether or not that sketch is
@@ -212,6 +230,7 @@ def _run_window(config: BenchmarkConfig, model, m: int, k: int,
                                counter_width=config.counter_width,
                                expected_flows=config.window)
             merged = _fill_lss(sketch, window_records)
+            query = sketch.query
             own_bytes = sketch.sketch_bytes()
             extra = {
                 "cardinality_error": abs(sketch.cardinality() - n_flows) / n_flows,
@@ -220,14 +239,21 @@ def _run_window(config: BenchmarkConfig, model, m: int, k: int,
         else:
             kind = CmSketch if name == "cm" else CsSketch
             sketch = kind(config.banks * per_bank, c=config.banks, seed=config.seed)
-            for key, value in window_records:
-                sketch.insert(key, value)
+            query = _fill_hashed(sketch, truth, hashes)
             own_bytes = sketch.memory_bytes(config.counter_width)
             extra = {}
         extra.update(sketch_bytes=own_bytes, membership_bytes=membership_bytes)
-        rows[name] = _evaluate(name, sketch.query, truth, own_bytes + membership_bytes,
+        rows[name] = _evaluate(name, query, truth, own_bytes + membership_bytes,
                                hh_threshold, extra)
     return rows
+
+
+def _fill_hashed(sketch, truth: GroundTruth, hashes: dict):
+    """Insert every flow's exact total under its precomputed bank
+    hashes; returns the matching key -> estimate query."""
+    for key, total in truth.totals.items():
+        sketch.insert_hashed(hashes[key], total)
+    return lambda key: sketch.query_hashed(hashes[key])
 
 
 _MERGE_MEAN = ("entropy_re", "cardinality_error")
@@ -270,13 +296,13 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     samples = training_samples(records, config.train_samples)
     hh_threshold = float(np.percentile(np.asarray(samples, dtype=np.float64),
                                        config.hh_percentile))
-    windows = split_windows(records, config.window)
+    fits = [fit_model(config, samples, ratio) for ratio in config.ratios]
+    per_window = [_run_window(config, fits, w, hh_threshold)
+                  for w in split_windows(records, config.window)]
     rows = []
-    for ratio in config.ratios:
-        model, m, k = fit_model(config, samples, ratio)
-        per_window = [_run_window(config, model, m, k, w, hh_threshold) for w in windows]
-        for name in per_window[0]:
-            merged = _merge_window_rows([rows_w[name] for rows_w in per_window])
+    for i, (ratio, (_, m, k)) in enumerate(zip(config.ratios, fits)):
+        for name in per_window[0][i]:
+            merged = _merge_window_rows([rows_w[i][name] for rows_w in per_window])
             merged.update(ratio=ratio, m=m, clusters=k)
             rows.append(merged)
     return {

@@ -23,6 +23,11 @@ def _add_model_options(p: argparse.ArgumentParser, ratio: bool = True) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
+# gen options that shape one kind of trace: dest -> (default, type)
+_ZIPF_ONLY = {"zipf_s": (1.1, float), "mean_packets": (4.0, float), "max_size": (32, int)}
+_UNIFORM_ONLY = {"packets_per_flow": (100, int), "packet_bytes": (1000, int)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowsketch",
                                      description=__doc__.splitlines()[0])
@@ -32,14 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("out", help="output CSV path")
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--flows", type=int, default=bench.DEFAULT_WINDOW)
-    g.add_argument("--zipf-s", type=float, default=1.1)
-    g.add_argument("--mean-packets", type=float, default=4.0)
-    g.add_argument("--max-size", type=int, default=32)
     g.add_argument("--concurrency", type=int, default=256)
     g.add_argument("--uniform", action="store_true",
                    help="fixed-size flows instead of Zipf sizes")
-    g.add_argument("--packets-per-flow", type=int, default=100)
-    g.add_argument("--packet-bytes", type=int, default=1000)
+    for dest, (default, typ) in {**_ZIPF_ONLY, **_UNIFORM_ONLY}.items():
+        shape = "uniform" if dest in _UNIFORM_ONLY else "Zipf"
+        g.add_argument("--" + dest.replace("_", "-"), type=typ,
+                       help=f"{shape} traces only (default {default})")
 
     t = sub.add_parser("train", help="train a cluster model from a trace")
     t.add_argument("trace")
@@ -86,13 +90,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shape_options(args) -> dict:
+    """The trace-shape options of the requested kind of trace, defaults
+    filled in; an option of the other kind is an error, not ignored."""
+    own, other = (_UNIFORM_ONLY, _ZIPF_ONLY) if args.uniform else (_ZIPF_ONLY, _UNIFORM_ONLY)
+    stray = ["--" + dest.replace("_", "-") for dest in other if getattr(args, dest) is not None]
+    if stray:
+        need = "cannot be combined with --uniform" if args.uniform else "need --uniform"
+        raise ValueError(f"{', '.join(stray)} {need}")
+    return {dest: default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, (default, _) in own.items()}
+
+
 def _cmd_gen(args) -> int:
+    opts = _shape_options(args)
     if args.uniform:
-        gen_uniform_trace(args.seed, args.flows, args.packets_per_flow,
-                          args.packet_bytes, args.out, concurrency=args.concurrency)
+        gen_uniform_trace(args.seed, args.flows, opts["packets_per_flow"],
+                          opts["packet_bytes"], args.out, concurrency=args.concurrency)
     else:
-        gen_trace(args.seed, args.flows, args.zipf_s, args.mean_packets,
-                  args.out, v_max=args.max_size, concurrency=args.concurrency)
+        gen_trace(args.seed, args.flows, opts["zipf_s"], opts["mean_packets"],
+                  args.out, v_max=opts["max_size"], concurrency=args.concurrency)
     print(args.out)
     return 0
 

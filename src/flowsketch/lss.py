@@ -107,12 +107,13 @@ class LssSketch:
 
     # -- inserts ---------------------------------------------------------
 
-    def _place(self, bucket_h: int, fp: int, idx_h: int, value: int) -> None:
+    def _place(self, bucket_h: int, fp: int, idx_h: int, value: int, miss: int) -> None:
         """Route a first-seen flow by its value, cache (cluster, value) in
-        the membership table, then count it in its bucket. The table goes
-        first, so a TableFullError leaves the buckets untouched."""
+        the membership table at its probe's miss, then count it in its
+        bucket. The table goes first, so a TableFullError leaves the
+        buckets untouched."""
         i = nearest_center(self.centers, value)
-        self.membership._insert_fp(fp, idx_h, i, value)
+        self.membership._insert_fp(fp, idx_h, i, value, miss)
         pos = self._offsets[i] + bucket_h % self.allocation[i]
         self._val_sums[pos] += value
         self._key_counts[pos] += 1
@@ -123,7 +124,7 @@ class LssSketch:
         if value < 0:
             raise InvalidInputError("values must be non-negative")
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
-        self._place(bucket_h, fp, idx_h, value)
+        self._place(bucket_h, fp, idx_h, value, self.membership._open_slot(fp, idx_h))
 
     def insert_duplicate(self, key: bytes, value: int) -> None:
         """Insert one increment of a flow that may appear many times.
@@ -139,8 +140,8 @@ class LssSketch:
         table = self.membership
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
         slot = table._find_slot(fp, idx_h)
-        if slot is None:
-            self._place(bucket_h, fp, idx_h, value)
+        if slot < 0:
+            self._place(bucket_h, fp, idx_h, value, slot)
             return
         old, cached = table._read(slot)
         if cached is None:

@@ -76,18 +76,34 @@ class CuckooTable:
     # -- slot-level operations (fingerprint and raw index hash already
     # computed; the index hash is masked here, and masking is idempotent)
 
-    def _find_slot(self, fp: int, idx_h: int) -> int | None:
+    def _probe(self, fp: int, idx_h: int, match: int) -> int:
+        """One pass over fp's two candidate buckets, i1 then i2: the
+        first slot holding `match`, else ~s for the first empty slot s,
+        or ~nslots when both buckets are full."""
+        fps = self._fps
         i1 = idx_h & self._mask
         base = i1 * SLOTS_PER_BUCKET
-        for s in range(base, base + SLOTS_PER_BUCKET):
-            if self._fps[s] == fp:
-                return s
-        i2 = self._alt_index(i1, fp)
-        base = i2 * SLOTS_PER_BUCKET
-        for s in range(base, base + SLOTS_PER_BUCKET):
-            if self._fps[s] == fp:
-                return s
-        return None
+        bucket = fps[base:base + SLOTS_PER_BUCKET]
+        if match in bucket:
+            return base + bucket.index(match)
+        free = base + bucket.index(0) if 0 in bucket else len(fps)
+        base = self._alt_index(i1, fp) * SLOTS_PER_BUCKET
+        bucket = fps[base:base + SLOTS_PER_BUCKET]
+        if match in bucket:
+            return base + bucket.index(match)
+        if free == len(fps) and 0 in bucket:
+            free = base + bucket.index(0)
+        return ~free
+
+    def _find_slot(self, fp: int, idx_h: int) -> int:
+        """The slot holding fp (>= 0). On a miss a negative value, which
+        _insert_fp takes to claim the first empty candidate slot."""
+        return self._probe(fp, idx_h, fp)
+
+    def _open_slot(self, fp: int, idx_h: int) -> int:
+        """_find_slot's miss value for one more entry of fp, whether or
+        not fp is already held (a fingerprint merge)."""
+        return self._probe(fp, idx_h, -1)
 
     def _read(self, slot: int) -> tuple[int, int | None]:
         """(cluster_index, cached total) of an occupied slot; the total
@@ -96,9 +112,12 @@ class CuckooTable:
 
     def _lookup_fp(self, fp: int, idx_h: int) -> tuple[int, int | None] | None:
         s = self._find_slot(fp, idx_h)
-        return None if s is None else self._read(s)
+        return None if s < 0 else self._read(s)
 
-    def _insert_fp(self, fp: int, idx_h: int, cluster_index: int, value: int) -> None:
+    def _insert_fp(self, fp: int, idx_h: int, cluster_index: int, value: int,
+                   miss: int) -> None:
+        """Add an entry for fp. miss is _find_slot's (or _open_slot's)
+        negative result for fp on the table as it stands."""
         if self.squeezed:
             raise RuntimeError("cannot insert into a squeezed table")
         if self.occupied >= self._max_occupied:
@@ -106,16 +125,14 @@ class CuckooTable:
                 f"load factor cap reached ({self.occupied} of "
                 f"{self.num_buckets * SLOTS_PER_BUCKET} slots)"
             )
+        free = ~miss
+        if free < len(self._fps):
+            self._fps[free] = fp
+            self._write(free, cluster_index, value)
+            self.occupied += 1
+            return
         i1 = idx_h & self._mask
         i2 = self._alt_index(i1, fp)
-        for i in (i1, i2):
-            base = i * SLOTS_PER_BUCKET
-            for s in range(base, base + SLOTS_PER_BUCKET):
-                if self._fps[s] == 0:
-                    self._fps[s] = fp
-                    self._write(s, cluster_index, value)
-                    self.occupied += 1
-                    return
         # both candidates full: displace a random victim and chase it
         i = self._rng.choice((i1, i2))
         kicked = []
@@ -161,7 +178,7 @@ class CuckooTable:
         chain exceeds max_kicks, with the table as it was before the
         call; the caller rotates the window or grows the table."""
         fp, i1 = self._fp_and_index(key)
-        self._insert_fp(fp, i1, cluster_index, value)
+        self._insert_fp(fp, i1, cluster_index, value, self._open_slot(fp, i1))
 
     def lookup(self, key: bytes) -> Payload | None:
         """Payload for the key, or None. A false positive (a different

@@ -72,7 +72,7 @@ def _random_flow_keys(rng: np.random.Generator, n: int) -> list[bytes]:
             int(rng.integers(0xC0A80000, 0xC0A8FFFF)),
             int(rng.integers(1024, 65536)),
             int(rng.integers(1, 1024)),
-            int(rng.choice((6, 17))),
+            (6, 17)[int(rng.integers(2))],  # rng.choice((6, 17))'s draw, 4x cheaper
         )
         if key not in keys:
             keys.add(key)
@@ -88,7 +88,7 @@ def _interleave(rng: np.random.Generator, per_flow_packets: list[list[int]],
     flowlet aggregation keys off."""
     concurrency = min(len(keys), concurrency)
     order = rng.permutation(len(keys))
-    active = list(order[:concurrency])
+    active = order[:concurrency].tolist()
     next_flow = concurrency
     cursor = [0] * len(keys)
     ts = 0
@@ -118,17 +118,17 @@ def generate_packets(seed: int, n_flows: int, zipf_s: float, mean_packets: float
     sizes = zipf_values(rng, n_flows, zipf_s, v_max)
     keys = _random_flow_keys(rng, n_flows)
     per_flow = []
-    for size in sizes:
-        size = int(size)
-        n_pkts = int(min(size, max(1, rng.poisson(mean_packets))))
+    for size in sizes.tolist():
+        n_pkts = min(size, max(1, int(rng.poisson(mean_packets))))
         if n_pkts > 1:
-            cuts = np.sort(rng.choice(size - 1, size=n_pkts - 1, replace=False)) + 1
+            # n_pkts - 1 distinct cut points in 1..size-1
+            cuts = sorted(rng.choice(size - 1, size=n_pkts - 1, replace=False).tolist())
+            bounds = [0, *(c + 1 for c in cuts), size]
+            per_flow.append([b - a for a, b in zip(bounds, bounds[1:])])
         else:
-            cuts = np.array([], dtype=np.int64)
-        bounds = np.concatenate(([0], cuts, [size]))
-        per_flow.append(np.diff(bounds).tolist())
+            per_flow.append([size])
     packets = _interleave(rng, per_flow, keys, concurrency=concurrency)
-    totals = {keys[i]: int(sizes[i]) for i in range(n_flows)}
+    totals = dict(zip(keys, sizes.tolist()))
     return packets, totals
 
 
@@ -169,7 +169,7 @@ def write_trace(path: str, packets: list[TracePacket]) -> None:
 
 def read_trace(path: str):
     """Yield TracePacket rows; raises ValueError with the line number on
-    malformed input."""
+    malformed input, a negative packet size included."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -179,6 +179,9 @@ def read_trace(path: str):
             try:
                 ts, src, dst, sp, dp, proto, size = row
                 key = pack_flow_key(parse_ip(src), parse_ip(dst), int(sp), int(dp), int(proto))
-                yield TracePacket(key, int(size), int(ts))
+                size = int(size)
+                if size < 0:
+                    raise ValueError(f"negative packet size {size}")
+                yield TracePacket(key, size, int(ts))
             except (ValueError, struct.error) as exc:
                 raise ValueError(f"trace parse error at line {lineno}: {exc}") from exc

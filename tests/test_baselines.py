@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch.baselines import (
     CmSketch,
     CsSketch,
     DenseMapping,
     autoencoder_oracle,
+    bank_hashes,
     expected_noisy_fraction,
     noisy_fraction_monte_carlo,
 )
@@ -124,6 +127,73 @@ class TestInsertValues:
         sk.insert(b"b", np.uint8(7))
         assert all(type(v) is int for bank in sk.banks for v in bank)
         assert sk.query(b"a") >= 0
+
+
+class TestHashedForms:
+    KEYS = [b"", b"a", b"flow-1", bytes(range(13))]
+
+    @pytest.mark.parametrize("seed", [0, 1, -3, 2**70])
+    @pytest.mark.parametrize("c", [1, 3, 4])
+    def test_bank_hashes_are_per_bank_hashes(self, seed, c):
+        for key in self.KEYS:
+            assert bank_hashes(key, seed, c) == tuple(bank_hash(key, seed, j) for j in range(c))
+
+    @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
+    def test_keyed_forms_equal_hashed_forms(self, kind):
+        rng = np.random.default_rng(8)
+        by_key, hashed = kind(60, c=3, seed=5), kind(60, c=3, seed=5)
+        keys = [f"k{i}".encode() for i in range(40)]
+        for _ in range(300):
+            key = keys[int(rng.integers(len(keys)))]
+            value = int(rng.integers(0, 100))
+            by_key.insert(key, value)
+            hashed.insert_hashed(bank_hashes(key, 5, 3), value)
+        assert by_key.banks == hashed.banks
+        for key in keys + [b"absent"]:
+            hashes = bank_hashes(key, 5, 3)
+            assert by_key.query(key) == hashed.query_hashed(hashes)
+            if kind is CsSketch:
+                assert by_key.query_raw(key) == hashed.query_raw_hashed(hashes)
+
+    @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
+    @pytest.mark.parametrize("value, error", [(-1, ValueError), (1.0, TypeError),
+                                              (2.5, TypeError), (True, TypeError),
+                                              (False, TypeError)])
+    def test_insert_hashed_validates_values(self, kind, value, error):
+        sk = kind(30, c=3, seed=1)
+        with pytest.raises(error):
+            sk.insert_hashed(bank_hashes(b"x", 1, 3), value)
+        assert all(v == 0 for bank in sk.banks for v in bank)
+
+    @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
+    def test_hashes_for_another_bank_count_rejected(self, kind):
+        sk = kind(30, c=3, seed=1)
+        with pytest.raises(ValueError):
+            sk.insert_hashed(bank_hashes(b"x", 1, 2), 5)
+        with pytest.raises(ValueError):
+            sk.query_hashed(bank_hashes(b"x", 1, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fragments_and_totals_give_the_same_counters(self, data):
+        """Both baselines are linear: replaying any fragmentation of the
+        flows in any order leaves the counters that inserting each
+        flow's total once does, which is how the benchmark fills them."""
+        totals = data.draw(st.lists(st.integers(0, 500), min_size=1, max_size=12),
+                           label="totals")
+        fragments = []
+        for i, total in enumerate(totals):
+            cuts = data.draw(st.lists(st.integers(0, total), max_size=4), label="cuts")
+            bounds = [0, *sorted(cuts), total]
+            fragments.extend((b"f%d" % i, hi - lo) for lo, hi in zip(bounds, bounds[1:]))
+        fragments = data.draw(st.permutations(fragments), label="order")
+        for kind in (CmSketch, CsSketch):
+            replayed, from_totals = kind(12, c=3, seed=2), kind(12, c=3, seed=2)
+            for key, piece in fragments:
+                replayed.insert(key, piece)
+            for i, total in enumerate(totals):
+                from_totals.insert_hashed(bank_hashes(b"f%d" % i, 2, 3), total)
+            assert replayed.banks == from_totals.banks
 
 
 class TestExpectedNoisyFraction:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from flowsketch import bench
 from flowsketch.bench import (
     BenchmarkConfig,
     _evaluate,
@@ -101,6 +103,26 @@ class TestRunBenchmark:
         config = small_config(trace_path=str(path))
         report = run_benchmark(config)
         assert all(r["windows"] == 3 for r in report["rows"])
+
+    def test_multi_window_trace_report_is_pinned(self, tmp_path):
+        # canonical JSON recorded when each ratio still replayed every
+        # record through the baselines' keyed insert and query
+        from flowsketch.traces import gen_trace
+        path = tmp_path / "multi.csv"
+        gen_trace(3, 2400, 1.1, 3.0, str(path))
+        report = run_benchmark(small_config(trace_path=str(path), ratios=(0.01, 0.1)))
+        assert [r["windows"] for r in report["rows"]] == [3] * 6
+        report["config"]["trace_path"] = None
+        assert hashlib.sha256(report_json(report).encode()).hexdigest() == (
+            "4ac3a9014d90958e4ec1389d02f5e105fb59fedda38873be384109a241b7eeeb")
+
+    def test_lss_only_run_hashes_no_bank(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bank hashes built for a run without baselines")
+
+        monkeypatch.setattr(bench, "bank_hashes", refuse)
+        (row,) = run_benchmark(small_config(sketches=("lss",)))["rows"]
+        assert row["sketch"] == "lss"
 
     def test_membership_charged_without_lss(self):
         full = {r["sketch"]: r for r in run_benchmark(small_config())["rows"]}

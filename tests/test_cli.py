@@ -25,6 +25,20 @@ class TestGen:
         assert len(lines) == 1 + 20 * 5
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--uniform", "--zipf-s", "1.1"),
+        ("--uniform", "--mean-packets", "4"),
+        ("--uniform", "--max-size", "32"),
+        ("--packets-per-flow", "5"),
+        ("--packet-bytes", "100"),
+    ], ids=lambda argv: argv[-2][2:])
+    def test_flag_of_the_other_shape_rejected(self, tmp_path, argv, capsys):
+        path = tmp_path / "t.csv"
+        assert run_cli("gen", path, "--flows", 20, *argv) == 2
+        assert argv[-2] in capsys.readouterr().err
+        assert not path.exists()
+
+
 class TestTrain:
     def test_writes_model_json(self, tmp_path):
         trace = tmp_path / "t.csv"

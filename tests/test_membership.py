@@ -7,6 +7,7 @@ from flowsketch.hashing import key_digest, mix16
 from flowsketch.membership import (
     SLOT_BYTES_OPEN,
     SLOT_BYTES_SQUEEZED,
+    SLOTS_PER_BUCKET,
     CuckooTable,
     TableFullError,
 )
@@ -104,6 +105,47 @@ class TestSlots:
         assert table.occupied == 1
         table.squeeze()
         assert table._read(slot) == (5, None)
+
+
+    @staticmethod
+    def first_empty(table, fp, idx_h):
+        i1 = idx_h & table._mask
+        for i in (i1, table._alt_index(i1, fp)):
+            for s in range(i * SLOTS_PER_BUCKET, (i + 1) * SLOTS_PER_BUCKET):
+                if table._fps[s] == 0:
+                    return s
+        return len(table._fps)
+
+    def test_miss_names_the_slot_insert_claims(self):
+        rng = np.random.default_rng(9)
+        table = CuckooTable(num_buckets=16, seed=2)
+        held = {}
+        for i in range(60):
+            _, fp, idx_h = key_digest(f"p{i}".encode(), 2)
+            probe = table._find_slot(fp, idx_h)
+            if fp in held:
+                assert probe >= 0 and table._fps[probe] == fp
+                continue
+            assert probe < 0
+            assert ~probe == self.first_empty(table, fp, idx_h)
+            if ~probe == len(table._fps):
+                continue  # both candidate buckets full: the kick path
+            table._insert_fp(fp, idx_h, int(rng.integers(8)), i, probe)
+            held[fp] = idx_h, i
+            assert table._fps[~probe] == fp and table._read(~probe)[1] == i
+        assert table.occupied == len(held) > 0
+        for fp, (idx_h, value) in held.items():
+            assert table._read(table._find_slot(fp, idx_h))[1] == value
+
+    def test_open_slot_ignores_a_held_fingerprint(self):
+        table = CuckooTable(capacity=64, seed=4)
+        table.insert(b"k", 1, 10)
+        fp, i1 = table._fp_and_index(b"k")
+        held = table._find_slot(fp, i1)
+        assert ~table._open_slot(fp, i1) == self.first_empty(table, fp, i1) != held
+        table.insert(b"k", 2, 20)  # a second entry, as before: lookups see the first
+        assert table.occupied == 2
+        assert table.lookup(b"k") == (1, 10)
 
 
 class TestSqueeze:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,15 @@ class TestGenTrace:
         c = tmp_path / "c.csv"
         gen_trace(8, 500, 1.1, 3.0, str(c))
         assert a.read_bytes() != c.read_bytes()
+
+    def test_pinned_bytes(self, tmp_path):
+        # digests of the CSVs written before the generator moved its
+        # per-flow splitting from numpy arrays to Python lists
+        zipf = gen_trace(7, 300, 1.1, 4.0, str(tmp_path / "zipf.csv"))
+        uniform = gen_uniform_trace(7, 40, 3, 64, str(tmp_path / "uniform.csv"))
+        digest = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (zipf, uniform)}
+        assert digest[zipf] == "093881faa18178ad22f488a34c25c8bf5879d779ee80ec4dbec3998697ee64e2"
+        assert digest[uniform] == "e8f5e60523585cb5fbaeb1c5388adab72b49a15758f9ea814d350edaf82d7f2d"
 
     def test_single_flow(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -110,6 +121,16 @@ class TestReadTrace:
             "oops,not,an,ip,x,y,z\n"
         )
         with pytest.raises(ValueError, match="line 3"):
+            list(read_trace(str(path)))
+
+    def test_negative_size_rejected(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text(
+            "ts_ns,src_ip,dst_ip,src_port,dst_port,proto,bytes\n"
+            "100,10.0.0.1,10.0.0.2,1,2,6,50\n"
+            "200,10.0.0.1,10.0.0.2,1,2,6,-5\n"
+        )
+        with pytest.raises(ValueError, match="line 3: negative packet size -5"):
             list(read_trace(str(path)))
 
 
