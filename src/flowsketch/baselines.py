@@ -128,19 +128,19 @@ def expected_noisy_fraction(m: int, n: int, c: int = 1) -> float:
 
 
 def noisy_fraction_monte_carlo(m: int, n: int, c: int = 1, trials: int = 1000,
-                               seed: int = 0, chunk: int | None = None) -> float:
+                               seed: int = 0) -> float:
     """Ball-bin estimate of the noisy-bucket fraction.
 
     Each trial throws the n keys into every bank and counts buckets with
     at least two keys; the fractions are averaged over all trials and
-    banks. Vectorized over trials in chunks to bound memory.
+    banks. Vectorized over trials in chunks of at most 10M bins to bound
+    memory.
     """
     bins = m // c
     if bins < 1:
         raise ValueError("m // c must be at least 1")
     rng = np.random.default_rng(seed)
-    if chunk is None:
-        chunk = max(1, min(trials, 10_000_000 // max(1, bins)))
+    chunk = max(1, min(trials, 10_000_000 // bins))
     noisy = 0
     done = 0
     offsets_cache = {}

@@ -16,7 +16,7 @@ seed.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,12 @@ DEFAULT_RATIO = 0.1
 DEFAULT_CLUSTERS = 30
 DEFAULT_HH_PERCENTILE = 90.0
 DEFAULT_TRAIN_SAMPLES = 10_000
+# the generated Zipf trace's exponent, largest flow size and mean packets
+# per flow, and the baselines' bank count
+ZIPF_S = 1.1
+ZIPF_VMAX = 32
+MEAN_PACKETS = 4.0
+BANKS = 3
 SKETCH_KINDS = ("lss", "cm", "cs")  # also the order of a report's rows
 
 
@@ -45,11 +51,7 @@ class BenchmarkConfig:
     counter_width: int = 32
     seed: int = 1
     trace_path: str | None = None   # None -> generated Zipf trace
-    zipf_s: float = 1.1
-    zipf_vmax: int = 32
-    mean_packets: float = 4.0
     train_samples: int = DEFAULT_TRAIN_SAMPLES
-    banks: int = 3
     allocation_policy: str = "hdw"
 
     def __post_init__(self):
@@ -74,8 +76,8 @@ def load_records(config: BenchmarkConfig):
             records.append((pkt.key, pkt.size_bytes))
             truth.add(pkt.key, pkt.size_bytes)
         return records, truth
-    packets, totals = generate_packets(config.seed, config.window, config.zipf_s,
-                                       config.mean_packets, v_max=config.zipf_vmax)
+    packets, totals = generate_packets(config.seed, config.window, ZIPF_S, MEAN_PACKETS,
+                                       v_max=ZIPF_VMAX)
     truth = GroundTruth()
     truth.totals = dict(totals)
     return [(p.key, p.size_bytes) for p in packets], truth
@@ -201,7 +203,7 @@ def _run_window(config: BenchmarkConfig, fits, window_records, hh_threshold: flo
         truth.add(key, value)
     hashes = None
     if "cm" in config.sketches or "cs" in config.sketches:
-        hashes = {key: bank_hashes(key, config.seed, config.banks) for key in truth.totals}
+        hashes = {key: bank_hashes(key, config.seed, BANKS) for key in truth.totals}
     return [_score_fit(config, fit, window_records, truth, hashes, hh_threshold)
             for fit in fits]
 
@@ -220,7 +222,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
     # including membership agree to within one bucket
     membership_bytes = CuckooTable(capacity=config.window).squeeze().memory_bytes()
     sketch_budget = sketch_bytes(m, k, config.counter_width)
-    per_bank = max(1, round(sketch_budget / (config.banks * (config.counter_width // 8))))
+    per_bank = max(1, round(sketch_budget / (BANKS * (config.counter_width // 8))))
     rows = {}
     for name in SKETCH_KINDS:
         if name not in config.sketches:
@@ -238,7 +240,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
             }
         else:
             kind = CmSketch if name == "cm" else CsSketch
-            sketch = kind(config.banks * per_bank, c=config.banks, seed=config.seed)
+            sketch = kind(BANKS * per_bank, c=BANKS, seed=config.seed)
             query = _fill_hashed(sketch, truth, hashes)
             own_bytes = sketch.memory_bytes(config.counter_width)
             extra = {}
@@ -306,22 +308,8 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
             merged.update(ratio=ratio, m=m, clusters=k)
             rows.append(merged)
     return {
-        "config": {
-            "sketches": list(config.sketches),
-            "ratios": list(config.ratios),
-            "window": config.window,
-            "clusters": config.clusters,
-            "hh_percentile": config.hh_percentile,
-            "counter_width": config.counter_width,
-            "seed": config.seed,
-            "trace_path": config.trace_path,
-            "zipf_s": config.zipf_s,
-            "zipf_vmax": config.zipf_vmax,
-            "mean_packets": config.mean_packets,
-            "train_samples": config.train_samples,
-            "banks": config.banks,
-            "allocation_policy": config.allocation_policy,
-        },
+        "config": {**asdict(config), "zipf_s": ZIPF_S, "zipf_vmax": ZIPF_VMAX,
+                   "mean_packets": MEAN_PACKETS, "banks": BANKS},
         "n_flows": truth.cardinality(),
         "hh_threshold": hh_threshold,
         "rows": rows,
@@ -384,16 +372,10 @@ def run_sensitivity(config: BenchmarkConfig, axis: str, values=None) -> dict:
     series = []
     for v in values or defaults:
         v = cast(v)
-        rep = run_benchmark(_with(config, sketches=("lss",), **override(v)))
+        rep = run_benchmark(replace(config, sketches=("lss",), **override(v)))
         row = next(r for r in rep["rows"] if r["sketch"] == "lss")
         series.append({label: v, **_lss_summary(row)})
     return {"axis": axis, "series": series}
-
-
-def _with(config: BenchmarkConfig, **overrides) -> BenchmarkConfig:
-    base = {f: getattr(config, f) for f in config.__dataclass_fields__}
-    base.update(overrides)
-    return BenchmarkConfig(**base)
 
 
 def _lss_summary(row: dict) -> dict:
@@ -427,4 +409,4 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
 
 
 def _epoch_records(config: BenchmarkConfig, epoch: int):
-    return load_records(_with(config, seed=config.seed * 1000 + epoch))
+    return load_records(replace(config, seed=config.seed * 1000 + epoch))

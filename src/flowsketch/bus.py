@@ -5,13 +5,9 @@ order. Publishing while a subscriber's queue is full blocks the
 producer, which is the backpressure that keeps stages in step.
 Subscriptions are streaming: a late subscriber sees only messages
 published after it attached.
-
-For multi-process runs the same envelope bytes can be carried over any
-byte stream with the length-prefixed framing helpers at the bottom.
 """
 
 import queue
-import struct
 import threading
 
 
@@ -25,16 +21,19 @@ _CLOSE = object()
 class Subscription:
     """One consumer's ordered view of a topic."""
 
-    def __init__(self, bus: "TopicBus", topic: str, maxsize: int):
-        self._bus = bus
+    def __init__(self, topic: str, maxsize: int):
         self.topic = topic
         self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
+        self._ended = False
 
     def get(self, timeout: float | None = None):
         """Next message in publish order; raises TopicClosed at end of
-        stream and queue.Empty on timeout."""
+        stream (and on every get after it) and queue.Empty on timeout."""
+        if self._ended:
+            raise TopicClosed(self.topic)
         item = self._queue.get(timeout=timeout)
         if item is _CLOSE:
+            self._ended = True
             raise TopicClosed(self.topic)
         return item
 
@@ -44,9 +43,6 @@ class Subscription:
                 yield self.get()
             except TopicClosed:
                 return
-
-    def close(self) -> None:
-        self._bus._drop(self.topic, self)
 
 
 class TopicBus:
@@ -76,10 +72,10 @@ class TopicBus:
             for sub in subs:
                 sub._queue.put(message)
 
-    def subscribe(self, topic: str, maxsize: int | None = None) -> Subscription:
+    def subscribe(self, topic: str) -> Subscription:
         if not topic:
             raise ValueError("topic name must be non-empty")
-        sub = Subscription(self, topic, maxsize if maxsize is not None else self._maxsize)
+        sub = Subscription(topic, self._maxsize)
         with self._lock:
             if topic in self._closed:
                 raise TopicClosed(topic)
@@ -95,30 +91,3 @@ class TopicBus:
                 subs = list(self._topics.get(topic, ()))
             for sub in subs:
                 sub._queue.put(_CLOSE)
-
-    def _drop(self, topic: str, sub: Subscription) -> None:
-        with self._lock:
-            subs = self._topics.get(topic)
-            if subs and sub in subs:
-                subs.remove(sub)
-
-
-def write_frame(stream, payload: bytes) -> None:
-    """Length-prefixed framing for carrying messages over files/sockets."""
-    stream.write(struct.pack("<I", len(payload)))
-    stream.write(payload)
-
-
-def read_frames(stream):
-    """Yield framed payloads until EOF; raises ValueError on a torn frame."""
-    while True:
-        head = stream.read(4)
-        if not head:
-            return
-        if len(head) < 4:
-            raise ValueError("torn frame header at end of stream")
-        (n,) = struct.unpack("<I", head)
-        payload = stream.read(n)
-        if len(payload) < n:
-            raise ValueError(f"torn frame payload: expected {n} bytes, got {len(payload)}")
-        yield payload

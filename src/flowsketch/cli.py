@@ -24,7 +24,8 @@ def _add_model_options(p: argparse.ArgumentParser, ratio: bool = True) -> None:
 
 
 # gen options that shape one kind of trace: dest -> (default, type)
-_ZIPF_ONLY = {"zipf_s": (1.1, float), "mean_packets": (4.0, float), "max_size": (32, int)}
+_ZIPF_ONLY = {"zipf_s": (bench.ZIPF_S, float), "mean_packets": (bench.MEAN_PACKETS, float),
+              "max_size": (bench.ZIPF_VMAX, int)}
 _UNIFORM_ONLY = {"packets_per_flow": (100, int), "packet_bytes": (1000, int)}
 
 

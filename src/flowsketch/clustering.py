@@ -20,6 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# k-means training: Lloyd iteration cap, relative center movement below
+# which a run stops, and independent k-means++ seedings per training
+MAX_ITERS = 100
+TOL = 1e-4
+N_INIT = 10
+
 
 class InvalidInputError(ValueError):
     """Raised when an operation's preconditions are violated."""
@@ -167,26 +173,19 @@ def _lloyd(
     return centers, potentials
 
 
-def train_kmeans(
-    samples,
-    k: int,
-    max_iters: int = 100,
-    tol: float = 1e-4,
-    seed: int = 0,
-    n_init: int = 10,
-) -> np.ndarray:
+def train_kmeans(samples, k: int, seed: int = 0) -> np.ndarray:
     """Train sorted 1-D K-means centers with k-means++ seeding.
+
+    Each of N_INIT seedings runs Lloyd iterations until every center
+    moves by less than TOL of itself, or for MAX_ITERS steps; the run
+    with the lowest potential wins. Skewed flow sizes leave plenty of
+    bad local optima, so a single seeding is not reliable.
 
     Args:
         samples: non-negative flow sizes (any iterable of reals).
         k: number of clusters; must not exceed the number of distinct
            sample values.
-        max_iters: Lloyd iteration cap.
-        tol: relative center movement below which training stops.
         seed: RNG seed; the result is deterministic given (samples, seed).
-        n_init: independent seedings; the run with the lowest potential
-           wins. Skewed flow sizes leave plenty of bad local optima, so
-           a single seeding is not reliable.
 
     Returns:
         Strictly ascending centers. Centers that converge onto the same
@@ -204,9 +203,9 @@ def train_kmeans(
         )
     rng = np.random.default_rng(seed)
     best_centers, best_potential = None, None
-    for _ in range(max(1, n_init)):
+    for _ in range(N_INIT):
         init = _kmeanspp_init(samples, k, rng)
-        centers, potentials = _lloyd(samples, init, max_iters=max_iters, tol=tol)
+        centers, potentials = _lloyd(samples, init, max_iters=MAX_ITERS, tol=TOL)
         if best_potential is None or potentials[-1] < best_potential:
             best_centers, best_potential = centers, potentials[-1]
     # merge duplicates produced by convergence onto shared points
@@ -255,9 +254,9 @@ def cluster_stats(samples, centers) -> ClusterModel:
     )
 
 
-def train_model(samples, k: int, max_iters: int = 100, tol: float = 1e-4, seed: int = 0) -> ClusterModel:
+def train_model(samples, k: int, seed: int = 0) -> ClusterModel:
     """Convenience wrapper: train centers, then derive the statistics."""
-    centers = train_kmeans(samples, k, max_iters=max_iters, tol=tol, seed=seed)
+    centers = train_kmeans(samples, k, seed=seed)
     return cluster_stats(samples, centers)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .clustering import ClusterModel, InvalidInputError, allocate_buckets, int_value, nearest_center
 from .hashing import key_digest
 from .membership import SLOT_BYTES_SQUEEZED, SLOTS_PER_BUCKET, CuckooTable
-from .metrics import entropy_of_values
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
 COUNTER_FORMATS = {16: "H", 32: "I", 64: "Q"}  # counter width -> struct code on the wire
@@ -46,12 +45,6 @@ def sketch_bytes(m: int, k: int, counter_width: int) -> int:
     """Serialized footprint of m bucket pairs at counter_width bits plus
     k four-byte centers: the counter budget every compared sketch gets."""
     return m * 2 * (counter_width // 8) + k * 4
-
-
-def changed_keys(before: dict, after: dict, keys, threshold: float) -> list[bytes]:
-    """Keys, in order, whose estimates in the two estimates() maps differ
-    by more than threshold; a key missing from a map counts as 0 there."""
-    return [k for k in keys if abs(after.get(k, 0.0) - before.get(k, 0.0)) > threshold]
 
 
 class LssSketch:
@@ -119,7 +112,13 @@ class LssSketch:
         self._key_counts[pos] += 1
 
     def insert(self, key: bytes, value: int) -> None:
-        """Insert a key that appears exactly once in the stream."""
+        """Insert a key that appears exactly once in the stream.
+
+        A key the sketch already holds is counted again, as a second
+        flow: the membership table cannot tell a repeat from a
+        fingerprint merge, so this path does not look. Send every
+        increment of a key that can repeat through insert_duplicate.
+        """
         value = int_value(value)
         if value < 0:
             raise InvalidInputError("values must be non-negative")
@@ -228,47 +227,17 @@ class LssSketch:
         """Sum of val_sum over every bucket; equals the sum of inserted values."""
         return sum(self._val_sums)
 
-    def entropy(self, keys) -> float:
-        """Base-2 entropy of the distribution of estimated sizes, grouped
-        by exact value."""
-        keys = list(keys)
-        if not keys:
-            raise InvalidInputError("entropy needs at least one key")
-        return entropy_of_values(self.query_exact(k) for k in keys)
-
-    def heavy_hitters(self, keys, threshold: float) -> list[tuple[bytes, float]]:
-        """Held keys whose estimate exceeds threshold, largest first."""
-        if threshold < 0:
-            raise InvalidInputError("threshold must be non-negative")
-        keys = list(keys)
-        ests = self.estimates(keys)
-        hits = [(k, ests[k]) for k in keys if k in ests and ests[k] > threshold]
-        hits.sort(key=lambda ke: (-ke[1], ke[0]))
-        return hits
-
-    def heavy_changes(self, other: "LssSketch", keys, threshold: float) -> list[bytes]:
-        """Keys whose estimates differ across the two sketches by more
-        than threshold; a key one window does not hold counts as 0 there."""
-        keys = list(keys)
-        return changed_keys(other.estimates(keys), self.estimates(keys), keys, threshold)
-
     # -- accounting and serialization -------------------------------------
 
     def sketch_bytes(self) -> int:
         """Serialized footprint of the bucket arrays plus the centers."""
         return sketch_bytes(self.m, len(self.centers), self.counter_width)
 
-    def memory_bytes(self, include_membership: bool = True,
-                     squeezed_membership: bool = True) -> int:
-        """Deployed footprint. Membership is charged at its squeezed
-        size by default, which is what a closed window ships."""
-        total = self.sketch_bytes()
-        if include_membership:
-            if squeezed_membership:
-                total += self.membership.num_buckets * SLOTS_PER_BUCKET * SLOT_BYTES_SQUEEZED
-            else:
-                total += self.membership.memory_bytes()
-        return total
+    def memory_bytes(self) -> int:
+        """Deployed footprint: the sketch plus its membership table at
+        the squeezed size, which is what a closed window ships."""
+        return (self.sketch_bytes()
+                + self.membership.num_buckets * SLOTS_PER_BUCKET * SLOT_BYTES_SQUEEZED)
 
     _MAGIC = b"LSS1"
     _HEADER = struct.Struct("<4sBBHIqB")  # magic, version, flags, k, m, hash_seed, counter_width

@@ -15,9 +15,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .bus import TopicBus, TopicClosed
+from .bus import TopicBus
 from .clustering import ClusterModel, InvalidInputError
-from .lss import BucketUnderflowError, LssSketch, changed_keys
+from .lss import BucketUnderflowError, LssSketch
 from .membership import TableFullError
 from .metrics import entropy_of_values
 from .traces import TracePacket
@@ -143,18 +143,17 @@ class IngestStage:
 
 class SketchingStage:
     """Keeps one sketch per sliding window and emits it when the window
-    closes."""
+    closes. Each window's membership table is sized for the window's
+    capacity in sequence mode and for 10 flows per bucket in time mode."""
 
     def __init__(self, model: ClusterModel, m: int, window: WindowConfig,
-                 source: str = "sketch-0", hash_seed: int = 0,
-                 expected_flows: int | None = None):
+                 source: str = "sketch-0", hash_seed: int = 0):
         self.model = model
         self.m = m
         self.window = window
         self.source = source
         self.hash_seed = hash_seed
-        self.expected_flows = expected_flows or (
-            window.capacity if window.mode == "sequence" else 10 * m)
+        self.expected_flows = window.capacity if window.mode == "sequence" else 10 * m
         self._window_id = 0
         self._window_start: int | None = None
         self._last_ts = 0
@@ -165,24 +164,22 @@ class SketchingStage:
         return LssSketch(self.model, self.m, hash_seed=self.hash_seed,
                          expected_flows=self.expected_flows)
 
-    def _window_bounds(self, ts: int) -> tuple[int, int]:
+    def _window_start_of(self, ts: int) -> int:
+        """Start of the window a record at ts opens: the aligned time
+        slot in time mode, ts itself in sequence mode."""
         if self.window.mode == "time":
-            start = (ts // self.window.capacity) * self.window.capacity
-            return start, start + self.window.capacity
-        return ts, ts
+            return (ts // self.window.capacity) * self.window.capacity
+        return ts
 
     def feed(self, record: FlowRecord, ts: int = 0) -> SketchEnvelope | None:
         """Insert one flow record; returns the closed window's envelope
         when this record completes or rolls a window."""
         envelope = None
-        if self.window.mode == "time":
-            if self._window_start is None:
-                self._window_start = (ts // self.window.capacity) * self.window.capacity
-            elif ts >= self._window_start + self.window.capacity:
-                envelope = self._rotate()
-                self._window_start = (ts // self.window.capacity) * self.window.capacity
-        elif self._window_start is None:
-            self._window_start = ts
+        if self._window_start is None:
+            self._window_start = self._window_start_of(ts)
+        elif self.window.mode == "time" and ts >= self._window_start + self.window.capacity:
+            envelope = self._rotate()
+            self._window_start = self._window_start_of(ts)
         self._last_ts = ts
         try:
             self._sketch.insert_duplicate(record.key, record.value)
@@ -193,7 +190,7 @@ class SketchingStage:
             log.warning("membership table full on %s window %d; rotating early",
                         self.source, self._window_id)
             envelope = self._rotate()
-            self._window_start = self._window_bounds(ts)[0]
+            self._window_start = self._window_start_of(ts)
             self._sketch.insert_duplicate(record.key, record.value)
         if (envelope is None and self.window.mode == "sequence"
                 and self._sketch.membership.occupied >= self.window.capacity):
@@ -292,12 +289,17 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     """Evaluate a monitoring task over every stored window in [t0, t1].
 
     Per-flow tasks need params["keys"]; threshold tasks need
-    params["threshold"]. Cardinalities sum across windows, heavy hitters
-    union (a flow seen in several windows reports every estimate),
-    entropies stay per window, and heavy changes compare consecutive
-    windows of the same source. Per-flow tasks skip a key in a window
-    that does not hold it, including a key whose fingerprint matches a
-    foreign one on an empty bucket; heavy changes count it as 0 there.
+    params["threshold"], non-negative for heavy hitters. Cardinalities
+    sum across windows; entropies stay per window, each the base-2
+    entropy of the held keys' exact estimates grouped by value (a window
+    holding none of the keys is left out); heavy hitters union the keys
+    whose estimate exceeds the threshold, largest first within a window,
+    so a flow seen in several windows reports every estimate; heavy
+    changes list the keys whose estimates in consecutive windows of the
+    same source differ by more than the threshold. Per-flow tasks skip a
+    key in a window that does not hold it, including a key whose
+    fingerprint matches a foreign one on an empty bucket; heavy changes
+    count it as 0 there.
     """
     params = params or {}
     if task not in QUERY_TASKS:
@@ -334,9 +336,14 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     if threshold is None:
         raise InvalidInputError(f"task {task!r} requires params['threshold']")
     if task == "heavy-hitters":
+        if threshold < 0:
+            raise InvalidInputError("threshold must be non-negative")
         union: dict[str, list] = {}
         for e in envelopes:
-            for k, est in e.sketch().heavy_hitters(keys, threshold):
+            ests = e.sketch().estimates(keys)
+            hits = [(k, ests[k]) for k in keys if k in ests and ests[k] > threshold]
+            hits.sort(key=lambda ke: (-ke[1], ke[0]))
+            for k, est in hits:
                 union.setdefault(k.hex(), []).append(
                     {"window": f"{e.source}/{e.window_id}", "estimate": est})
         report["hitters"] = union
@@ -352,9 +359,10 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
         envs.sort(key=lambda e: e.window_id)
         ests = [e.sketch().estimates(keys) for e in envs]
         for j in range(1, len(envs)):
-            changed = changed_keys(ests[j - 1], ests[j], keys, threshold)
+            before, after = ests[j - 1], ests[j]
             changes[f"{source}/{envs[j - 1].window_id}->{envs[j].window_id}"] = [
-                k.hex() for k in changed]
+                k.hex() for k in keys
+                if abs(after.get(k, 0.0) - before.get(k, 0.0)) > threshold]
     report["changes"] = changes
     return report
 
@@ -381,65 +389,78 @@ class PipelineStats:
 
 def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
                  window: WindowConfig | None = None, source_id: str = "src-0",
-                 ingest_capacity: int = 1000, hash_seed: int = 0,
-                 bus: TopicBus | None = None) -> PipelineStats:
+                 ingest_capacity: int = 1000, hash_seed: int = 0) -> PipelineStats:
     """Drive packets end-to-end across threaded stages connected by the
-    bus, storing every emitted envelope. Returns conservation counters."""
+    bus, storing every emitted envelope. Returns conservation counters.
+
+    A stage that fails records its error and drains its input, and
+    every producer closes its output topic however it ends, so the
+    other stages run to the end of their streams; the first error is
+    then raised here."""
     window = window or WindowConfig()
-    bus = bus or TopicBus(maxsize=64)
+    bus = TopicBus(maxsize=64)
     stats = PipelineStats()
+    errors: list[BaseException] = []
     flowlet_topic = f"flowlets.{source_id}"
     sketch_topic = "sketches"
     flowlet_sub = bus.subscribe(flowlet_topic)
     sketch_sub = bus.subscribe(sketch_topic)
 
+    def fail(exc: BaseException, inbox) -> None:
+        errors.append(exc)
+        for _ in inbox:  # keep consuming so the producer never blocks
+            pass
+
     def ingest_worker():
-        stage = IngestStage(source_id=source_id, capacity=ingest_capacity)
-        last_ts = 0
-        for pkt in packets:
-            last_ts = pkt.ts_ns
-            batch = stage.ingest(pkt)
-            if batch is not None:
-                bus.publish(flowlet_topic, batch)
-        final = stage.flush(ts_ns=last_ts)
-        if final.records:
-            bus.publish(flowlet_topic, final)
-        stats.packets = stage.packets_seen
-        stats.packet_bytes = stage.bytes_seen
-        stats.flowlet_records = stage.records_emitted
-        stats.flowlet_batches = stage.batches_emitted
-        bus.close_topic(flowlet_topic)
+        try:
+            stage = IngestStage(source_id=source_id, capacity=ingest_capacity)
+            last_ts = 0
+            for pkt in packets:
+                last_ts = pkt.ts_ns
+                batch = stage.ingest(pkt)
+                if batch is not None:
+                    bus.publish(flowlet_topic, batch)
+            final = stage.flush(ts_ns=last_ts)
+            if final.records:
+                bus.publish(flowlet_topic, final)
+            stats.packets = stage.packets_seen
+            stats.packet_bytes = stage.bytes_seen
+            stats.flowlet_records = stage.records_emitted
+            stats.flowlet_batches = stage.batches_emitted
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            bus.close_topic(flowlet_topic)
 
     def sketch_worker():
-        stage = SketchingStage(model, m, window, source=source_id,
-                               hash_seed=hash_seed)
-        last_seq = -1
         try:
-            while True:
-                batch = flowlet_sub.get()
+            stage = SketchingStage(model, m, window, source=source_id,
+                                   hash_seed=hash_seed)
+            last_seq = -1
+            for batch in flowlet_sub:
                 if batch.sequence_number <= last_seq:
                     stats.fifo_violations += 1
                 last_seq = batch.sequence_number
                 for env in stage.feed_batch(batch):
                     bus.publish(sketch_topic, env)
-        except TopicClosed:
-            pass
-        final = stage.flush()
-        if final is not None:
-            bus.publish(sketch_topic, final)
-        stats.merged_flow_events = stage.merged_flow_events
-        bus.close_topic(sketch_topic)
+            final = stage.flush()
+            if final is not None:
+                bus.publish(sketch_topic, final)
+            stats.merged_flow_events = stage.merged_flow_events
+        except BaseException as exc:
+            fail(exc, flowlet_sub)
+        finally:
+            bus.close_topic(sketch_topic)
 
     def query_worker():
         try:
-            while True:
-                env = sketch_sub.get()
+            for env in sketch_sub:
                 env.arrival_ts = time.time_ns()
                 store.put(env)
                 stats.envelopes += 1
                 stats.sketched_value += env.sketch().total_value()
-        except TopicClosed:
-            pass
+        except BaseException as exc:
+            fail(exc, sketch_sub)
 
     threads = [threading.Thread(target=w, name=w.__name__)
                for w in (ingest_worker, sketch_worker, query_worker)]
@@ -447,4 +468,6 @@ def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
         t.start()
     for t in threads:
         t.join()
+    if errors:
+        raise errors[0]
     return stats

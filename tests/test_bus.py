@@ -1,10 +1,9 @@
-import io
 import queue
 import threading
 
 import pytest
 
-from flowsketch.bus import TopicBus, TopicClosed, read_frames, write_frame
+from flowsketch.bus import TopicBus, TopicClosed
 
 
 class TestOrdering:
@@ -37,8 +36,8 @@ class TestOrdering:
         assert list(late) == ["new"]
 
     def test_per_producer_order_with_four_producers(self):
-        bus = TopicBus(maxsize=2048)
-        sub = bus.subscribe("audit", maxsize=200_000)
+        bus = TopicBus(maxsize=200_000)
+        sub = bus.subscribe("audit")
         n_per = 25_000
 
         def producer(pid):
@@ -72,6 +71,17 @@ class TestLifecycle:
         with pytest.raises(TopicClosed):
             bus.publish("t", 2)
 
+    def test_end_of_stream_is_final(self):
+        # a consumer that reads past the end (say, to drain after a
+        # failure) sees TopicClosed again instead of blocking
+        bus = TopicBus()
+        sub = bus.subscribe("t")
+        bus.close_topic("t")
+        assert list(sub) == []
+        with pytest.raises(TopicClosed):
+            sub.get(timeout=0.01)
+        assert list(sub) == []
+
     def test_empty_topic_name_rejected(self):
         bus = TopicBus()
         with pytest.raises(ValueError):
@@ -102,21 +112,3 @@ class TestLifecycle:
         assert done.wait(timeout=1.0)
         t.join()
         assert sub.get() == 1
-
-
-class TestFraming:
-    def test_round_trip(self):
-        buf = io.BytesIO()
-        payloads = [b"", b"abc", bytes(range(256))]
-        for p in payloads:
-            write_frame(buf, p)
-        buf.seek(0)
-        assert list(read_frames(buf)) == payloads
-
-    def test_torn_frame_detected(self):
-        buf = io.BytesIO()
-        write_frame(buf, b"hello")
-        data = buf.getvalue()
-        torn = io.BytesIO(data[:-2])
-        with pytest.raises(ValueError):
-            list(read_frames(torn))

@@ -292,61 +292,15 @@ class TestInsertDuplicate:
 
 
 class TestQueryTasks:
-    def build(self):
-        sketch = LssSketch(uniform_model(4), 100, hash_seed=19, expected_flows=64)
-        sizes = {b"a": 100, b"b": 1, b"c": 1, b"d": 35}
-        for k, v in sizes.items():
-            sketch.insert(k, v)
-        return sketch, sizes
-
     def test_cardinality_counts_distinct(self):
-        sketch, sizes = self.build()
+        sketch = LssSketch(uniform_model(4), 100, hash_seed=19, expected_flows=64)
+        for k, v in {b"a": 100, b"b": 1, b"c": 1, b"d": 35}.items():
+            sketch.insert(k, v)
         assert sketch.cardinality() == 4
         fragmented = LssSketch(uniform_model(4), 100, hash_seed=19)
         for _ in range(5):
             fragmented.insert_duplicate(b"one", 3)
         assert fragmented.cardinality() == 1
-
-    def test_entropy_formula(self):
-        sketch = LssSketch(single_cluster_model(), 4, hash_seed=23)
-        keys = keys_for_slots(4, [0, 0, 1], 23)
-        for key, v in zip(keys, [2, 2, 4]):
-            sketch.insert(key, v)
-        expected = -(2 / 3 * math.log2(2 / 3) + 1 / 3 * math.log2(1 / 3))
-        assert sketch.entropy(keys) == pytest.approx(expected)
-        assert expected == pytest.approx(0.9183, abs=1e-4)
-
-    def test_entropy_degenerate_cases(self):
-        sketch, sizes = self.build()
-        only = [b"b", b"c"]  # identical estimates
-        assert sketch.entropy(only) == 0.0
-        distinct = [b"a", b"b", b"d"]
-        if len({sketch.query(k) for k in distinct}) == 3:
-            assert sketch.entropy(distinct) == pytest.approx(math.log2(3))
-        with pytest.raises(InvalidInputError):
-            sketch.entropy([])
-
-    def test_heavy_hitters_threshold_and_order(self):
-        sketch, sizes = self.build()
-        hits = sketch.heavy_hitters(list(sizes), 50)
-        assert [k for k, _ in hits] == [b"a"]
-        assert sketch.heavy_hitters(list(sizes), 1e9) == []
-        everything = sketch.heavy_hitters(list(sizes), 0)
-        assert [e for _, e in everything] == sorted(
-            (e for _, e in everything), reverse=True)
-
-    def test_heavy_changes(self):
-        model = uniform_model(4)
-        a = LssSketch(model, 100, hash_seed=19)
-        b = LssSketch(model, 100, hash_seed=19)
-        for k, v in {b"x": 10, b"y": 60}.items():
-            a.insert(k, v)
-            b.insert(k, v)
-        b.insert(b"new", 100)
-        keys = [b"x", b"y", b"new"]
-        assert a.heavy_changes(a, keys, 0.0) == []
-        assert b.heavy_changes(a, keys, 50) == [b"new"]
-        assert set(b.heavy_changes(a, keys, 0.0)) == {b"new"}
 
 
 class TestSingleLookup:
@@ -392,9 +346,6 @@ class TestSingleLookup:
         with pytest.raises(KeyNotFoundError):
             sketch.query_exact(foreign)
         assert sketch.estimates([held, foreign]) == {held: 5.0}
-        assert sketch.heavy_hitters([held, foreign], 1) == [(held, 5.0)]
-        empty = LssSketch(single_cluster_model(), 64, hash_seed=13)
-        assert sketch.heavy_changes(empty, [held, foreign], 1) == [held]
 
 
 class TestStatisticalProperties:

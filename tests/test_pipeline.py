@@ -1,4 +1,6 @@
 import logging
+import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ from flowsketch.pipeline import (
 from flowsketch.traces import TracePacket, generate_packets, uniform_packets
 
 
-def small_model(k=4):
-    centers = tuple(float(8 * (i + 1)) for i in range(k))
+ALL_TIME = (0, 1 << 62)
+
+
+def small_model(k=4, step=8):
+    centers = tuple(float(step * (i + 1)) for i in range(k))
     total = sum(centers)
     return ClusterModel(centers=centers, entropy=tuple([0.5] * k),
                         weight=tuple(c / total for c in centers),
@@ -29,6 +34,48 @@ def small_model(k=4):
 
 def pkt(key, size, ts=0):
     return TracePacket(key=key, size_bytes=size, ts_ns=ts)
+
+
+def store_windows(tmp_path, sketches):
+    """Store each sketch, squeezed as a closed window ships, as the next
+    window of source src-a."""
+    store = SketchStore(str(tmp_path / "store"))
+    for wid, sketch in enumerate(sketches):
+        sketch.membership.squeeze()
+        store.put(SketchEnvelope(payload=sketch.to_bytes(), source="src-a", window_id=wid,
+                                 window_start=wid, window_end=wid,
+                                 arrival_ts=100 * (wid + 1)))
+    return store
+
+
+def keys_in_slots(m, slots, seed):
+    """Distinct keys whose bucket hash lands on each requested slot of
+    an m-bucket array."""
+    keys, i = [], 0
+    for slot in slots:
+        while key_digest(f"slot-{i}".encode(), seed)[0] % m != slot:
+            i += 1
+        keys.append(f"slot-{i}".encode())
+        i += 1
+    return keys
+
+
+def run_bounded(fn, seconds=10):
+    """Run fn in a daemon thread; fail if it is still running after
+    seconds, else return the exception it raised (None if none)."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), f"still running after {seconds} s"
+    return raised[0] if raised else None
 
 
 class TestIngestStage:
@@ -273,6 +320,73 @@ class TestNetworkWideQuery:
             network_wide_query(store, 0, 1, "heavy-hitters", {"keys": []})
 
 
+class TestWindowTasks:
+    """Each per-window task over sketches stored as built."""
+
+    def sized_window(self, tmp_path):
+        sketch = LssSketch(small_model(4, step=10), 100, hash_seed=19, expected_flows=64)
+        sizes = {b"a": 100, b"b": 1, b"c": 1, b"d": 35}
+        for k, v in sizes.items():
+            sketch.insert(k, v)
+        return store_windows(tmp_path, [sketch]), sizes
+
+    def test_entropy_formula(self, tmp_path):
+        sketch = LssSketch(small_model(1, step=10), 4, hash_seed=23)
+        keys = keys_in_slots(4, [0, 0, 1], 23)
+        for key, v in zip(keys, [2, 2, 4]):
+            sketch.insert(key, v)
+        store = store_windows(tmp_path, [sketch])
+        report = network_wide_query(store, *ALL_TIME, "entropy", {"keys": keys})
+        expected = -(2 / 3 * math.log2(2 / 3) + 1 / 3 * math.log2(1 / 3))
+        assert report["per_window"] == {"src-a/0": pytest.approx(expected)}
+        assert expected == pytest.approx(0.9183, abs=1e-4)
+
+    def test_entropy_of_identical_estimates_is_zero(self, tmp_path):
+        store, _ = self.sized_window(tmp_path)
+
+        def entropy(keys):
+            return network_wide_query(store, *ALL_TIME, "entropy", {"keys": keys})["per_window"]
+
+        assert entropy([b"b", b"c"]) == {"src-a/0": 0.0}
+        # a window that holds none of the keys has no entropy entry
+        assert entropy([b"absent"]) == {}
+        assert entropy([]) == {}
+
+    def test_heavy_hitters_threshold_and_order(self, tmp_path):
+        store, sizes = self.sized_window(tmp_path)
+
+        def hitters(threshold):
+            return network_wide_query(store, *ALL_TIME, "heavy-hitters",
+                                      {"keys": list(sizes), "threshold": threshold})["hitters"]
+
+        assert list(hitters(50)) == [b"a".hex()]
+        assert hitters(1e9) == {}
+        everything = [entry["estimate"] for (entry,) in hitters(0).values()]
+        assert len(everything) == 4
+        assert everything == sorted(everything, reverse=True)
+        with pytest.raises(InvalidInputError):
+            hitters(-1)
+
+    def test_heavy_changes(self, tmp_path):
+        model = small_model(4, step=10)
+        windows = [LssSketch(model, 100, hash_seed=19) for _ in range(3)]
+        for sketch in windows:
+            for k, v in {b"x": 10, b"y": 60}.items():
+                sketch.insert(k, v)
+        windows[2].insert(b"new", 100)
+        store = store_windows(tmp_path, windows)
+
+        def changes(threshold):
+            return network_wide_query(store, *ALL_TIME, "heavy-changes",
+                                      {"keys": [b"x", b"y", b"new"],
+                                       "threshold": threshold})["changes"]
+
+        # identical windows change nothing; a key a window lacks counts as 0
+        assert changes(0.0) == {"src-a/0->1": [], "src-a/1->2": [b"new".hex()]}
+        assert changes(50) == {"src-a/0->1": [], "src-a/1->2": [b"new".hex()]}
+        assert changes(100) == {"src-a/0->1": [], "src-a/1->2": []}
+
+
 class TestForeignFingerprint:
     """A window whose membership table matches a key's fingerprint, where
     the key itself was never inserted and its bucket is empty."""
@@ -281,7 +395,7 @@ class TestForeignFingerprint:
     M = 16
 
     def fill_store(self, tmp_path):
-        model = ClusterModel(centers=(10.0,), entropy=(0.0,), weight=(1.0,), density=(1.0,))
+        model = small_model(1, step=10)
         # one membership bucket, so a fingerprint match alone is a hit
         first = LssSketch(model, self.M, hash_seed=self.SEED, expected_flows=1)
         held = b"held"
@@ -297,13 +411,7 @@ class TestForeignFingerprint:
         second = LssSketch(model, self.M, hash_seed=self.SEED, expected_flows=64)
         second.insert(held, 5)
         second.insert(foreign, 40)
-        store = SketchStore(str(tmp_path / "store"))
-        for wid, sketch in enumerate((first, second)):
-            sketch.membership.squeeze()
-            store.put(SketchEnvelope(payload=sketch.to_bytes(), source="src-a", window_id=wid,
-                                     window_start=wid, window_end=wid,
-                                     arrival_ts=100 * (wid + 1)))
-        return store, held, foreign
+        return store_windows(tmp_path, (first, second)), held, foreign
 
     def test_per_key_tasks_skip_the_key(self, tmp_path):
         store, held, foreign = self.fill_store(tmp_path)
@@ -396,8 +504,7 @@ class TestEndToEnd:
         # maintains in-process from the same records
         from flowsketch.lss import LssSketch
         model = small_model()
-        stage = SketchingStage(model, 16, WindowConfig("sequence", 50),
-                               hash_seed=77, expected_flows=50)
+        stage = SketchingStage(model, 16, WindowConfig("sequence", 50), hash_seed=77)
         shadow = LssSketch(model, 16, hash_seed=77, expected_flows=50)
         packets, _ = generate_packets(14, 120, 1.1, 3.0)
         envelopes = []
@@ -412,3 +519,41 @@ class TestEndToEnd:
         assert envelopes, "expected at least one rotated window"
         for env, state in zip(envelopes, shadow_states):
             assert env.sketch().state() == state
+
+
+class TestStageFailure:
+    """A failing stage stops run_pipeline with its own error; the other
+    stages still reach the end of their streams, so nothing hangs."""
+
+    def test_negative_packet_size_raises_instead_of_hanging(self, tmp_path):
+        packets = [TracePacket(b"k" * 13, 5, 1), TracePacket(b"j" * 13, -1, 2)]
+        store = SketchStore(str(tmp_path / "store"))
+        exc = run_bounded(lambda: run_pipeline(packets, small_model(), 16, store))
+        assert isinstance(exc, InvalidInputError)
+
+    def test_ingest_failure_is_raised_after_the_stream_ends(self, tmp_path):
+        good, _ = generate_packets(3, 200, 1.1, 3.0)
+
+        def packets():
+            yield from good
+            raise ValueError("bad trace row")
+
+        store = SketchStore(str(tmp_path / "store"))
+        exc = run_bounded(lambda: run_pipeline(packets(), small_model(), 16, store,
+                                               ingest_capacity=20))
+        assert isinstance(exc, ValueError) and "bad trace row" in str(exc)
+        # what reached the sketching stage before the failure is stored
+        assert sum(e.sketch().total_value() for e in store.range(*ALL_TIME)) > 0
+
+    def test_store_failure_does_not_block_the_sketching_stage(self, tmp_path):
+        # one-flow windows emit more envelopes than the bus queue holds,
+        # so the sketching stage blocks unless the failed stage drains
+        class BrokenStore:
+            def put(self, envelope):
+                raise OSError("disk full")
+
+        packets = [TracePacket(f"f{i}".encode(), 4, i) for i in range(300)]
+        exc = run_bounded(lambda: run_pipeline(packets, small_model(), 16, BrokenStore(),
+                                               window=WindowConfig("sequence", 1),
+                                               ingest_capacity=10))
+        assert isinstance(exc, OSError)
