@@ -141,17 +141,16 @@ def noisy_fraction_monte_carlo(m: int, n: int, c: int = 1, trials: int = 1000,
         raise ValueError("m // c must be at least 1")
     rng = np.random.default_rng(seed)
     chunk = max(1, min(trials, 10_000_000 // bins))
+    # trial i of a chunk throws into bins [i * bins, (i + 1) * bins); a
+    # shorter last chunk uses the prefix for its t trials
+    offsets = np.repeat(np.arange(chunk, dtype=np.int64) * bins, n)
     noisy = 0
     done = 0
-    offsets_cache = {}
     while done < trials:
         t = min(chunk, trials - done)
-        if t not in offsets_cache:
-            offsets_cache[t] = np.repeat(np.arange(t, dtype=np.int64) * bins, n)
-        offsets = offsets_cache[t]
         for _ in range(c):
             throws = rng.integers(0, bins, size=t * n, dtype=np.int64)
-            counts = np.bincount(throws + offsets, minlength=t * bins)
+            counts = np.bincount(throws + offsets[:t * n], minlength=t * bins)
             noisy += int(np.count_nonzero(counts >= 2))
         done += t
     return noisy / (trials * c * bins)

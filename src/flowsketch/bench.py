@@ -123,7 +123,9 @@ def _evaluate(name: str, query, truth: GroundTruth, memory_bytes: int,
         except KeyNotFoundError:  # a flow the clustered sketch lost scores as 0
             est = 0.0
         estimates.append(est)
-        rel_errors.append(relative_error(truth.total(k), est))
+        total = truth.total(k)
+        if total > 0:  # a 0-byte flow has no relative error; it still counts below
+            rel_errors.append(relative_error(total, est))
     rel = np.asarray(rel_errors)
     true_hh = truth.heavy_hitters(hh_threshold)
     pred_hh = {k for k, e in zip(keys, estimates) if e > hh_threshold}
@@ -187,9 +189,11 @@ def _fill_lss(sketch: LssSketch, records) -> int:
     return merged
 
 
-def _run_window(config: BenchmarkConfig, fits, window_records, hh_threshold: float) -> list[dict]:
-    """Score one window slice at each (model, m, k) fit; returns one
-    {sketch: row} per fit.
+def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
+                hh_threshold: float) -> list[dict]:
+    """Score window `index` at each (model, m, k) fit; returns one
+    {sketch: row} per fit. A window without a flow of positive total
+    has no flow-size error to score and raises InvalidInputError.
 
     The window's exact totals, and its keys' bank hashes when a
     baseline runs, are built once here and shared by every ratio, so
@@ -201,6 +205,9 @@ def _run_window(config: BenchmarkConfig, fits, window_records, hh_threshold: flo
     truth = GroundTruth()
     for key, value in window_records:
         truth.add(key, value)
+    if not any(total > 0 for total in truth.totals.values()):
+        raise InvalidInputError(f"window {index} has no flow with a positive total: "
+                                "its flow-size relative error is undefined")
     hashes = None
     if "cm" in config.sketches or "cs" in config.sketches:
         hashes = {key: bank_hashes(key, config.seed, BANKS) for key in truth.totals}
@@ -233,7 +240,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
                                expected_flows=config.window)
             merged = _fill_lss(sketch, window_records)
             query = sketch.query
-            own_bytes = sketch.sketch_bytes()
+            own_bytes = sketch_budget
             extra = {
                 "cardinality_error": abs(sketch.cardinality() - n_flows) / n_flows,
                 "merged_flow_events": merged,
@@ -299,8 +306,8 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     hh_threshold = float(np.percentile(np.asarray(samples, dtype=np.float64),
                                        config.hh_percentile))
     fits = [fit_model(config, samples, ratio) for ratio in config.ratios]
-    per_window = [_run_window(config, fits, w, hh_threshold)
-                  for w in split_windows(records, config.window)]
+    per_window = [_run_window(config, fits, i, w, hh_threshold)
+                  for i, w in enumerate(split_windows(records, config.window))]
     rows = []
     for i, (ratio, (_, m, k)) in enumerate(zip(config.ratios, fits)):
         for name in per_window[0][i]:
@@ -392,18 +399,14 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
         raise InvalidInputError("epoch sweeps need a generated trace")
     first_records, _ = _epoch_records(config, 1)
     samples = training_samples(first_records, config.train_samples)
-    model, m, _ = fit_model(config, samples, config.ratios[0])
+    fit = fit_model(config, samples, config.ratios[0])
     hh_threshold = float(np.percentile(np.asarray(samples, dtype=np.float64),
                                        config.hh_percentile))
+    lss_only = replace(config, sketches=("lss",))
     series = []
     for epoch in epochs:
         records, truth = _epoch_records(config, epoch)
-        sketch = LssSketch(model, m, hash_seed=config.seed,
-                           counter_width=config.counter_width,
-                           expected_flows=config.window)
-        _fill_lss(sketch, records)
-        row = _evaluate("lss", sketch.query, truth,
-                        sketch.memory_bytes(), hh_threshold)
+        row = _score_fit(lss_only, fit, records, truth, None, hh_threshold)["lss"]
         series.append({"epoch": int(epoch), **_lss_summary(row)})
     return series
 

@@ -232,7 +232,7 @@ def _cmd_query(args) -> int:
     store = SketchStore(args.store)
     params = {}
     if args.keys_from:
-        params["keys"] = list({p.key for p in read_trace(args.keys_from)})
+        params["keys"] = list(dict.fromkeys(p.key for p in read_trace(args.keys_from)))
     if args.threshold is not None:
         params["threshold"] = args.threshold
     report = network_wide_query(store, args.t0, args.t1, args.task, params)

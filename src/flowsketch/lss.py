@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import ClusterModel, InvalidInputError, allocate_buckets, int_value, nearest_center
 from .hashing import key_digest
-from .membership import SLOT_BYTES_SQUEEZED, SLOTS_PER_BUCKET, CuckooTable
+from .membership import CuckooTable
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
 COUNTER_FORMATS = {16: "H", 32: "I", 64: "Q"}  # counter width -> struct code on the wire
@@ -43,7 +43,9 @@ class BucketUnderflowError(RuntimeError):
 
 def sketch_bytes(m: int, k: int, counter_width: int) -> int:
     """Serialized footprint of m bucket pairs at counter_width bits plus
-    k four-byte centers: the counter budget every compared sketch gets."""
+    k four-byte centers: the counter budget every compared sketch gets.
+    A closed window costs this plus its squeezed table's
+    CuckooTable.memory_bytes()."""
     return m * 2 * (counter_width // 8) + k * 4
 
 
@@ -62,17 +64,14 @@ class LssSketch:
 
     def __init__(self, model: ClusterModel, m: int, hash_seed: int = 0,
                  counter_width: int = 32, expected_flows: int | None = None):
-        membership = None
-        if expected_flows is not None:
-            membership = CuckooTable(capacity=expected_flows, seed=hash_seed)
+        capacity = max(64, 10 * m) if expected_flows is None else expected_flows
         self._set_layout(model.centers, model.allocation or allocate_buckets(model, m), m,
-                         hash_seed, counter_width, membership)
+                         hash_seed, counter_width, CuckooTable(capacity=capacity, seed=hash_seed))
 
     def _set_layout(self, centers, allocation, m: int, hash_seed: int, counter_width: int,
-                    membership: CuckooTable | None) -> None:
-        """Check the bucket layout and start with empty arrays. Without a
-        membership table an open one for 10 flows per bucket (at least
-        64) is made."""
+                    membership: CuckooTable) -> None:
+        """Check the bucket layout and start with empty arrays over the
+        given membership table."""
         k = len(centers)
         if not 1 <= k <= MAX_CLUSTERS:
             raise InvalidInputError(f"between 1 and {MAX_CLUSTERS} clusters supported, got {k}")
@@ -93,8 +92,6 @@ class LssSketch:
         self._offsets = list(accumulate(self.allocation[:-1], initial=0))
         self._val_sums = [0] * m
         self._key_counts = [0] * m
-        if membership is None:
-            membership = CuckooTable(capacity=max(64, 10 * m), seed=hash_seed)
         self.membership = membership
         self.saturated = False
 
@@ -227,17 +224,7 @@ class LssSketch:
         """Sum of val_sum over every bucket; equals the sum of inserted values."""
         return sum(self._val_sums)
 
-    # -- accounting and serialization -------------------------------------
-
-    def sketch_bytes(self) -> int:
-        """Serialized footprint of the bucket arrays plus the centers."""
-        return sketch_bytes(self.m, len(self.centers), self.counter_width)
-
-    def memory_bytes(self) -> int:
-        """Deployed footprint: the sketch plus its membership table at
-        the squeezed size, which is what a closed window ships."""
-        return (self.sketch_bytes()
-                + self.membership.num_buckets * SLOTS_PER_BUCKET * SLOT_BYTES_SQUEEZED)
+    # -- serialization -----------------------------------------------------
 
     _MAGIC = b"LSS1"
     _HEADER = struct.Struct("<4sBBHIqB")  # magic, version, flags, k, m, hash_seed, counter_width
@@ -245,11 +232,11 @@ class LssSketch:
     _FLAG_MEMBERSHIP = 1
     _FLAG_SATURATED = 2
 
-    def to_bytes(self, include_membership: bool = True) -> bytes:
-        """Serialize: header, centers (f32), allocation, bucket pairs at
-        the configured counter width, then optionally the membership
-        table. Values wider than the counter width are clamped and the
-        saturation flag is set in the header."""
+    def to_bytes(self) -> bytes:
+        """Serialize the closed window: header, centers (f32),
+        allocation, bucket pairs at the configured counter width, then
+        the read-only membership table. Values wider than the counter
+        width are clamped and the saturation flag is set in the header."""
         width = self.counter_width
         limit = (1 << width) - 1
         fmt = COUNTER_FORMATS[width]
@@ -260,51 +247,45 @@ class LssSketch:
         saturated = max(flat) > limit
         if saturated:
             flat = [min(x, limit) for x in flat]
-        flags = (self._FLAG_MEMBERSHIP if include_membership else 0) | (
-            self._FLAG_SATURATED if saturated else 0
-        )
-        head = self._HEADER.pack(self._MAGIC, 1, flags, k, self.m, self.hash_seed, width)
-        parts = [
-            head,
+        flags = self._FLAG_MEMBERSHIP | (self._FLAG_SATURATED if saturated else 0)
+        table = self.membership.to_bytes()
+        return b"".join([
+            self._HEADER.pack(self._MAGIC, 1, flags, k, self.m, self.hash_seed, width),
             np.asarray(self.centers, dtype="<f4").tobytes(),
             struct.pack(f"<{k}I", *self.allocation),
             struct.pack(f"<{2 * self.m}{fmt}", *flat),
-        ]
-        if include_membership:
-            body = self.membership.to_bytes()
-            parts.append(struct.pack("<I", len(body)))
-            parts.append(body)
-        return b"".join(parts)
+            struct.pack("<I", len(table)),
+            table,
+        ])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LssSketch":
-        """Decode to_bytes() output. Truncated or trailing bytes, and a
-        layout the constructor would reject, raise ValueError."""
+        """Decode to_bytes() output. Truncated or trailing bytes, a clear
+        membership flag, and a layout the constructor would reject raise
+        ValueError."""
         if len(data) < cls._HEADER.size:
             raise ValueError(f"truncated sketch header at offset {len(data)}")
         magic, version, flags, k, m, hash_seed, width = cls._HEADER.unpack_from(data)
         if magic != cls._MAGIC or version != 1:
             raise ValueError(f"bad sketch magic/version at offset 0: {magic!r} v{version}")
+        if not flags & cls._FLAG_MEMBERSHIP:
+            raise ValueError(f"membership flag clear in sketch flags {flags:#04x} at offset 5")
         off = cls._HEADER.size
         buckets_at = off + 8 * k
         end = buckets_at + 2 * m * (width // 8)
+        if len(data) < end + 4:
+            raise ValueError(f"truncated sketch body at offset {len(data)} (need {end + 4})")
+        (blen,) = struct.unpack_from("<I", data, end)
+        end += 4 + blen
         if len(data) < end:
-            raise ValueError(f"truncated sketch body at offset {len(data)} (need {end})")
-        centers = np.frombuffer(data, dtype="<f4", count=k, offset=off).tolist()
-        allocation = struct.unpack_from(f"<{k}I", data, off + 4 * k)
-        membership = None
-        if flags & cls._FLAG_MEMBERSHIP:
-            if len(data) < end + 4:
-                raise ValueError(f"truncated membership length at offset {end}")
-            (blen,) = struct.unpack_from("<I", data, end)
-            end += 4 + blen
-            if len(data) < end:
-                raise ValueError(f"truncated membership at offset {len(data)} (need {end})")
-            membership = CuckooTable.from_bytes(data[end - blen:end])
+            raise ValueError(f"truncated membership at offset {len(data)} (need {end})")
         if len(data) > end:
             raise ValueError(f"{len(data) - end} trailing bytes at offset {end}")
+        centers = np.frombuffer(data, dtype="<f4", count=k, offset=off).tolist()
+        allocation = struct.unpack_from(f"<{k}I", data, off + 4 * k)
         sketch = cls.__new__(cls)
-        sketch._set_layout(centers, allocation, m, hash_seed, width, membership)
+        sketch._set_layout(centers, allocation, m, hash_seed, width,
+                           CuckooTable.from_bytes(data[end - blen:end]))
         fmt = COUNTER_FORMATS[width]
         flat = struct.unpack_from(f"<{2 * m}{fmt}", data, buckets_at)
         sketch._val_sums = list(flat[0::2])

@@ -6,7 +6,8 @@ candidate buckets per key, four slots per bucket; the alternate bucket
 is derived from the primary one and the fingerprint alone (partial-key
 cuckoo hashing), so displaced entries can always be rehomed without the
 original key. Once a window closes the table is squeezed down to
-fingerprint + cluster index (3 bytes per slot).
+fingerprint + cluster index (3 bytes per slot), the one form it is
+serialized in.
 """
 
 import random
@@ -210,41 +211,36 @@ class CuckooTable:
     _MAGIC = b"CKT1"
 
     def to_bytes(self) -> bytes:
-        head = self._HEADER.pack(
-            self._MAGIC, 1, int(self.squeezed), self.max_kicks, self.num_buckets,
-            self.seed,
-        )
-        parts = [head, self._fps.tobytes(), self._cis.tobytes()]
-        if not self.squeezed:
-            parts.append(self._vals.tobytes())
-        return b"".join(parts)
+        """The read-only form a closed window ships: the header with its
+        squeezed byte set, the fingerprints and the cluster indices. The
+        cached totals are never written, so an open table encodes as it
+        would after squeeze()."""
+        head = self._HEADER.pack(self._MAGIC, 1, 1, self.max_kicks, self.num_buckets, self.seed)
+        return b"".join([head, self._fps.tobytes(), self._cis.tobytes()])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CuckooTable":
+        """Decode to_bytes() output to a squeezed table. Any other
+        squeezed byte, and truncated or trailing bytes, raise ValueError."""
         if len(data) < cls._HEADER.size:
             raise ValueError(f"truncated table header at offset {len(data)}")
         magic, version, squeezed, max_kicks, num_buckets, seed = cls._HEADER.unpack_from(data)
         if magic != cls._MAGIC or version != 1:
             raise ValueError(f"bad table magic/version at offset 0: {magic!r} v{version}")
+        if squeezed != 1:
+            raise ValueError(f"table squeezed byte {squeezed} at offset 5: only the "
+                             "read-only (squeezed) form is decoded")
         nslots = num_buckets * SLOTS_PER_BUCKET
         off = cls._HEADER.size
-        need = off + 3 * nslots + (0 if squeezed else 8 * nslots)
+        need = off + 3 * nslots
         if len(data) < need:
             raise ValueError(f"truncated table body at offset {len(data)} (need {need})")
         if len(data) > need:
             raise ValueError(f"{len(data) - need} trailing bytes at offset {need}")
-        table = cls(num_buckets=num_buckets, max_kicks=max_kicks, seed=seed)
+        table = cls(num_buckets=num_buckets, max_kicks=max_kicks, seed=seed).squeeze()
         table._fps = array("H")
         table._fps.frombytes(data[off:off + 2 * nslots])
-        off += 2 * nslots
         table._cis = array("B")
-        table._cis.frombytes(data[off:off + nslots])
-        off += nslots
-        if squeezed:
-            table._vals = None
-            table.squeezed = True
-        else:
-            table._vals = array("Q")
-            table._vals.frombytes(data[off:off + 8 * nslots])
+        table._cis.frombytes(data[off + 2 * nslots:need])
         table.occupied = int(np.count_nonzero(np.frombuffer(table._fps, dtype=np.uint16)))
         return table

@@ -116,6 +116,12 @@ class IngestStage:
         self.batches_emitted = 0
 
     def ingest(self, pkt: TracePacket) -> FlowletBatch | None:
+        """Count one packet; returns the batch a new flow's arrival
+        flushes, if any. A negative size raises InvalidInputError before
+        any counter changes."""
+        if pkt.size_bytes < 0:
+            raise InvalidInputError(f"negative packet size {pkt.size_bytes} "
+                                    f"for flow {pkt.key.hex()}")
         self.packets_seen += 1
         self.bytes_seen += pkt.size_bytes
         if pkt.key in self._table:
@@ -212,15 +218,13 @@ class SketchingStage:
         return self._rotate()
 
     def _rotate(self) -> SketchEnvelope:
-        sketch = self._sketch
-        sketch.membership.squeeze()
         if self.window.mode == "time":
             start = self._window_start or 0
             bounds = (start, start + self.window.capacity)
         else:
             bounds = (self._window_start or 0, self._last_ts)
         envelope = SketchEnvelope(
-            payload=sketch.to_bytes(include_membership=True),
+            payload=self._sketch.to_bytes(),
             source=self.source,
             window_id=self._window_id,
             window_start=bounds[0],
@@ -228,6 +232,7 @@ class SketchingStage:
         )
         self._window_id += 1
         self._window_start = None
+        self._sketch = None  # free the closed window before the next one's table exists
         self._sketch = self._new_sketch()
         return envelope
 
@@ -288,18 +293,18 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
                        params: dict | None = None) -> dict:
     """Evaluate a monitoring task over every stored window in [t0, t1].
 
-    Per-flow tasks need params["keys"]; threshold tasks need
-    params["threshold"], non-negative for heavy hitters. Cardinalities
-    sum across windows; entropies stay per window, each the base-2
-    entropy of the held keys' exact estimates grouped by value (a window
-    holding none of the keys is left out); heavy hitters union the keys
-    whose estimate exceeds the threshold, largest first within a window,
-    so a flow seen in several windows reports every estimate; heavy
-    changes list the keys whose estimates in consecutive windows of the
-    same source differ by more than the threshold. Per-flow tasks skip a
-    key in a window that does not hold it, including a key whose
-    fingerprint matches a foreign one on an empty bucket; heavy changes
-    count it as 0 there.
+    Per-flow tasks need params["keys"], each key taken once in
+    first-seen order; threshold tasks need params["threshold"],
+    non-negative for heavy hitters. Cardinalities sum across windows;
+    entropies stay per window, each the base-2 entropy of the held keys'
+    exact estimates grouped by value (a window holding none of the keys
+    is left out); heavy hitters union the keys whose estimate exceeds
+    the threshold, largest first within a window, so a flow seen in
+    several windows reports every estimate; heavy changes list the keys
+    whose estimates in consecutive windows of the same source differ by
+    more than the threshold. Per-flow tasks skip a key in a window that
+    does not hold it, including a key whose fingerprint matches a
+    foreign one on an empty bucket; heavy changes count it as 0 there.
     """
     params = params or {}
     if task not in QUERY_TASKS:
@@ -315,6 +320,7 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     keys = params.get("keys")
     if keys is None:
         raise InvalidInputError(f"task {task!r} requires params['keys']")
+    keys = list(dict.fromkeys(keys))  # each key once, in first-seen order
     if task == "flow-size":
         sizes = {}
         for e in envelopes:

@@ -17,6 +17,20 @@ from flowsketch.bench import (
 from flowsketch.clustering import InvalidInputError
 from flowsketch.lss import KeyNotFoundError
 from flowsketch.metrics import GroundTruth
+from flowsketch.traces import TracePacket, gen_trace, pack_flow_key, read_trace, write_trace
+
+
+def trace_with_zero_byte_flows(tmp_path, n_zero):
+    """A 300-flow Zipf trace followed by n_zero new flows of one 0-byte
+    packet each."""
+    path = tmp_path / "zero.csv"
+    gen_trace(5, 300, 1.1, 3.0, str(path))
+    packets = list(read_trace(str(path)))
+    ts = packets[-1].ts_ns
+    packets += [TracePacket(pack_flow_key(0x0A000001, 0x0A000002, 1000 + i, 80, 6), 0, ts + i)
+                for i in range(n_zero)]
+    write_trace(str(path), packets)
+    return str(path)
 
 
 def small_config(**overrides):
@@ -89,7 +103,6 @@ class TestRunBenchmark:
         assert hh["threshold"] == report["hh_threshold"]
 
     def test_trace_file_input(self, tmp_path):
-        from flowsketch.traces import gen_trace
         path = tmp_path / "t.csv"
         gen_trace(5, 300, 1.1, 3.0, str(path))
         config = small_config(trace_path=str(path), window=300, train_samples=300)
@@ -97,7 +110,6 @@ class TestRunBenchmark:
         assert report["n_flows"] == 300
 
     def test_multi_window_trace_averages_rows(self, tmp_path):
-        from flowsketch.traces import gen_trace
         path = tmp_path / "multi.csv"
         gen_trace(3, 2400, 1.1, 3.0, str(path))
         config = small_config(trace_path=str(path))
@@ -107,7 +119,6 @@ class TestRunBenchmark:
     def test_multi_window_trace_report_is_pinned(self, tmp_path):
         # canonical JSON recorded when each ratio still replayed every
         # record through the baselines' keyed insert and query
-        from flowsketch.traces import gen_trace
         path = tmp_path / "multi.csv"
         gen_trace(3, 2400, 1.1, 3.0, str(path))
         report = run_benchmark(small_config(trace_path=str(path), ratios=(0.01, 0.1)))
@@ -144,6 +155,29 @@ class TestRunBenchmark:
         row = _evaluate("lss", query, truth, 0, 15.0)
         assert row["flow_size"]["mean_re"] == pytest.approx(1 / 3)  # errors 0, 1, 0
         assert row["heavy_hitters"]["recall"] == 0.5
+
+    def test_zero_byte_flow_scores_without_relative_error(self):
+        truth = GroundTruth()
+        for key, value in ((b"a", 10), (b"empty", 0), (b"c", 40)):
+            truth.add(key, value)
+        estimates = {b"a": 10.0, b"empty": 5.0, b"c": 40.0}
+        row = _evaluate("lss", estimates.__getitem__, truth, 0, 15.0)
+        # the 0-byte flow has no relative error but still counts as a
+        # flow for entropy (three distinct sizes on both sides)
+        assert row["flow_size"]["mean_re"] == 0.0
+        assert row["entropy_re"] == 0.0
+        assert row["heavy_hitters"]["f1"] == 1.0
+
+    def test_zero_byte_flow_in_a_trace(self, tmp_path):
+        path = trace_with_zero_byte_flows(tmp_path, 1)
+        report = run_benchmark(small_config(trace_path=path, window=400, train_samples=400))
+        assert report["n_flows"] == 301
+        assert {r["sketch"] for r in report["rows"]} == {"lss", "cm", "cs"}
+
+    def test_window_without_a_positive_flow_rejected(self, tmp_path):
+        path = trace_with_zero_byte_flows(tmp_path, 2)
+        with pytest.raises(InvalidInputError, match="window 1 has no flow with a positive"):
+            run_benchmark(small_config(trace_path=path, window=300, train_samples=300))
 
     def test_fingerprint_merged_flow_does_not_stop_the_run(self):
         # seed 55 at ratio 0.1 holds a flow whose fingerprint merged

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,26 @@ class TestPipelineAndQuery:
                        "--threshold", 5) == 0
         hh = json.loads(capsys.readouterr().out)
         assert "hitters" in hh
+
+
+class TestQueryKeyOrder:
+    def test_stdout_independent_of_hash_seed(self, tmp_path, capsys):
+        # --keys-from keys go to the store in trace order, not in the
+        # per-process order of a set of bytes
+        trace = tmp_path / "t.csv"
+        store = tmp_path / "store"
+        run_cli("gen", trace, "--seed", 5, "--flows", 3000)
+        assert run_cli("pipeline", trace, store, "--window", 1000,
+                       "--train-samples", 1000, "--seed", 5) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+        def query(hash_seed, *argv):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+            return subprocess.run(
+                [sys.executable, "-m", "flowsketch.cli", "query", str(store), *argv,
+                 "--keys-from", str(trace)],
+                env=env, capture_output=True, text=True, check=True).stdout
+
+        for task in (("heavy-changes", "--threshold", "3"), ("entropy",)):
+            assert query(1, *task) == query(2, *task)

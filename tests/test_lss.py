@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from flowsketch.baselines import DenseMapping, autoencoder_oracle
 from flowsketch.clustering import ClusterModel, InvalidInputError, allocate_buckets
 from flowsketch.hashing import key_digest
-from flowsketch.lss import BucketUnderflowError, KeyNotFoundError, LssSketch
+from flowsketch.lss import BucketUnderflowError, KeyNotFoundError, LssSketch, sketch_bytes
 from flowsketch.membership import CuckooTable
 from flowsketch.traces import generate_packets
 
@@ -88,12 +88,14 @@ def foreign_fingerprint_sketch(seed=13, m=64):
         i += 1
 
 
-def crafted_blob(centers, allocation, m, width=32):
-    """Sketch wire bytes for a given layout: empty buckets, no membership."""
-    head = LssSketch._HEADER.pack(LssSketch._MAGIC, 1, 0, len(centers), m, 0, width)
+def crafted_blob(centers, allocation, m, width=32, flags=LssSketch._FLAG_MEMBERSHIP):
+    """Sketch wire bytes for a given layout: empty buckets and an empty
+    64-flow membership table."""
+    head = LssSketch._HEADER.pack(LssSketch._MAGIC, 1, flags, len(centers), m, 0, width)
+    table = CuckooTable(capacity=64).to_bytes()
     return (head + np.asarray(centers, dtype="<f4").tobytes()
             + struct.pack(f"<{len(allocation)}I", *allocation)
-            + bytes(2 * m * (width // 8)))
+            + bytes(2 * m * (width // 8)) + struct.pack("<I", len(table)) + table)
 
 
 class TestConstruction:
@@ -426,11 +428,12 @@ class TestSerialization:
         assert back.to_bytes() == blob
 
     def test_footprint_at_compact_dimensions(self):
-        # 1,000 16-bit buckets + 30 four-byte centers ~ 4.12 KB
+        # 1,000 16-bit buckets + 30 four-byte centers ~ 4.12 KB, then the
+        # length-prefixed table at its squeezed size
         sketch = LssSketch(uniform_model(30), 1000, counter_width=16)
-        payload = sketch.to_bytes(include_membership=False)
-        assert 4120 <= len(payload) <= 4120 * 1.05
-        assert sketch.sketch_bytes() == 4120
+        assert sketch_bytes(1000, 30, 16) == 4120
+        table = sketch.membership.squeeze().memory_bytes()
+        assert 4120 + 4 + table <= len(sketch.to_bytes()) <= (4120 + 4 + table) * 1.05
 
     def test_malformed_bytes_rejected_with_offset(self):
         sketch = LssSketch(uniform_model(3), 12)
@@ -445,6 +448,7 @@ class TestSerialization:
         assert back.centers == (4.0, 20.0)
         assert back.allocation == [5, 7]
         assert back.state() == [[(0, 0)] * 5, [(0, 0)] * 7]
+        assert back.membership.squeezed and back.membership.occupied == 0
 
     @pytest.mark.parametrize("centers, allocation, m, width", [
         ((4.0, 20.0), (0, 12), 12, 32),   # an empty bucket array
@@ -457,13 +461,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LssSketch.from_bytes(crafted_blob(centers, allocation, m, width))
 
-    @pytest.mark.parametrize("with_membership", [False, True])
-    def test_trailing_bytes_rejected(self, with_membership):
+    @pytest.mark.parametrize("squeezed", [False, True])
+    def test_trailing_bytes_rejected(self, squeezed):
         sketch = LssSketch(uniform_model(3), 12)
         sketch.insert(b"k", 5)
-        blob = sketch.to_bytes(include_membership=with_membership)
+        if squeezed:
+            sketch.membership.squeeze()
         with pytest.raises(ValueError, match="trailing"):
-            LssSketch.from_bytes(blob + b"xx")
+            LssSketch.from_bytes(sketch.to_bytes() + b"xx")
 
     def test_saturation_flagged_at_narrow_width(self):
         sketch = LssSketch(uniform_model(2), 8, counter_width=16)
@@ -472,24 +477,35 @@ class TestSerialization:
         assert back.saturated
         assert back.query(b"big") == 65535.0
 
-    def test_without_membership_still_counts(self):
-        sketch = LssSketch(uniform_model(2), 8)
-        sketch.insert(b"k", 5)
-        back = LssSketch.from_bytes(sketch.to_bytes(include_membership=False))
-        assert back.cardinality() == 1
-        assert back.total_value() == 5
-        with pytest.raises(KeyNotFoundError):
-            back.query(b"k")
+    def test_clear_membership_flag_rejected(self):
+        with pytest.raises(ValueError, match="membership flag clear.*offset 5"):
+            LssSketch.from_bytes(crafted_blob((4.0, 20.0), (5, 7), 12, flags=0))
+        with pytest.raises(ValueError, match="membership flag clear"):
+            LssSketch.from_bytes(crafted_blob((4.0, 20.0), (5, 7), 12,
+                                              flags=LssSketch._FLAG_SATURATED))
+
+    def test_open_table_rejected(self):
+        blob = bytearray(crafted_blob((4.0, 20.0), (5, 7), 12))
+        table_at = len(blob) - len(CuckooTable(capacity=64).to_bytes())
+        assert blob[table_at + 5] == 1
+        blob[table_at + 5] = 0
+        with pytest.raises(ValueError, match="squeezed byte 0"):
+            LssSketch.from_bytes(bytes(blob))
+
+    def test_price_has_one_owner(self):
+        # a closed window is charged lss.sketch_bytes plus its squeezed
+        # table's memory_bytes; the sketch keeps no figure of its own
+        assert not hasattr(LssSketch, "sketch_bytes")
+        assert not hasattr(LssSketch, "memory_bytes")
 
 
 class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(width=st.sampled_from((16, 32, 64)),
-           with_membership=st.booleans(),
            squeeze=st.booleans(),
            k=st.integers(1, 4),
            records=st.lists(st.tuples(st.integers(0, 25), st.integers(0, 1000)), max_size=40))
-    def test_to_bytes_from_bytes(self, width, with_membership, squeeze, k, records):
+    def test_to_bytes_from_bytes(self, width, squeeze, k, records):
         # 40 records of at most 1000 stay inside a 16-bit counter
         sketch = LssSketch(uniform_model(k), 12, hash_seed=31, counter_width=width,
                            expected_flows=64)
@@ -498,16 +514,16 @@ class TestRoundTripProperty:
                 sketch.insert_duplicate(f"p{i}".encode(), v)
             except BucketUnderflowError:
                 pass
+        blob = sketch.to_bytes()
         if squeeze:
             sketch.membership.squeeze()
-        blob = sketch.to_bytes(include_membership=with_membership)
+            assert sketch.to_bytes() == blob
         back = LssSketch.from_bytes(blob)
         assert back.state() == sketch.state()
         assert not back.saturated
-        assert back.to_bytes(include_membership=with_membership) == blob
-        if with_membership:
-            assert back.membership.occupied == sketch.membership.occupied
-            assert back.membership.squeezed == squeeze
+        assert back.to_bytes() == blob
+        assert back.membership.occupied == sketch.membership.occupied
+        assert back.membership.squeezed
 
 
 class TestPythonIntState:
@@ -542,15 +558,13 @@ def golden_sketch(width):
 
 class TestGoldenBytes:
     """sha256 of to_bytes() pinned across refactors of the in-memory
-    layout: the wire format must not move."""
+    layout: the wire format must not move. An open sketch ships the
+    bytes of its squeezed (closed-window) form."""
 
     DIGESTS = {
-        16: ("27647e982f980b0c69ca317cf3205423c8c55a0fad089ccfc4956d2a03435977",
-             "2bfda149de9d16e62bd654bc4a2b0a770cf6741bd55bb1d5509939dfdc6e00c9"),
-        32: ("be9cd00d247ce6828c316951918710da164173c3712292ce870783a45d05137a",
-             "9f1349e1ad4af0c7a8df297e786585e992586b852b1470948135bba89189acb9"),
-        64: ("f963aa15a117107df8d557de822bd3344bc25f4dd42d6d9b46e857be96b402a5",
-             "6ee7edb78645a0360c9d89d8caa8f61a5ebffe20ddf83eedfd411ed8ac142c18"),
+        16: "2bfda149de9d16e62bd654bc4a2b0a770cf6741bd55bb1d5509939dfdc6e00c9",
+        32: "9f1349e1ad4af0c7a8df297e786585e992586b852b1470948135bba89189acb9",
+        64: "6ee7edb78645a0360c9d89d8caa8f61a5ebffe20ddf83eedfd411ed8ac142c18",
     }
 
     @pytest.mark.parametrize("width", [16, 32, 64])
@@ -558,8 +572,8 @@ class TestGoldenBytes:
         sketch = golden_sketch(width)
         assert sketch.cardinality() == 41
         assert sketch.total_value() == 72_090
-        open_digest, squeezed_digest = self.DIGESTS[width]
-        assert hashlib.sha256(sketch.to_bytes()).hexdigest() == open_digest
+        squeezed_digest = self.DIGESTS[width]
+        assert hashlib.sha256(sketch.to_bytes()).hexdigest() == squeezed_digest
         sketch.membership.squeeze()
         blob = sketch.to_bytes()
         assert hashlib.sha256(blob).hexdigest() == squeezed_digest

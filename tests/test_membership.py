@@ -69,10 +69,10 @@ class TestInsertLookup:
             keys = keys_with_primary_bucket(table, 0, 5, same_alt=True)
             for j, key in enumerate(keys[:4]):
                 table.insert(key, j, 10 + j)
-            before = table.to_bytes()
+            before = table.to_bytes(), table._vals.tobytes()
             with pytest.raises(TableFullError):
                 table.insert(keys[4], 4, 14)
-            assert table.to_bytes() == before, seed
+            assert (table.to_bytes(), table._vals.tobytes()) == before, seed
             assert table.occupied == 4
             for j, key in enumerate(keys[:4]):
                 assert table.lookup(key) == (j, 10 + j), seed
@@ -250,15 +250,19 @@ class TestStatisticalProperties:
 
 class TestSerialization:
     def test_round_trip(self):
+        # an open table travels in its read-only form: the cached totals
+        # stay behind and the decoded table is squeezed
         table = CuckooTable(capacity=100, seed=8)
         for i in range(50):
             table.insert(f"k{i}".encode(), i % 7, i * 11)
         data = table.to_bytes()
         back = CuckooTable.from_bytes(data)
+        assert back.squeezed
         assert back.occupied == table.occupied
         for i in range(50):
-            assert back.lookup(f"k{i}".encode()) == table.lookup(f"k{i}".encode())
+            assert back.lookup(f"k{i}".encode()) == (i % 7, None)
         assert back.to_bytes() == data
+        assert table.squeeze().to_bytes() == data
 
     def test_squeezed_round_trip(self):
         table = CuckooTable(capacity=100, seed=8)
@@ -278,6 +282,13 @@ class TestSerialization:
         data = CuckooTable(capacity=100, seed=8).to_bytes()
         with pytest.raises(ValueError, match="trailing"):
             CuckooTable.from_bytes(data + b"xx")
+
+    def test_open_form_rejected(self):
+        data = bytearray(CuckooTable(capacity=100, seed=8).to_bytes())
+        assert data[5] == 1
+        data[5] = 0
+        with pytest.raises(ValueError, match="squeezed byte 0 at offset 5"):
+            CuckooTable.from_bytes(bytes(data))
 
     def test_zero_buckets_rejected(self):
         head = CuckooTable._HEADER.pack(CuckooTable._MAGIC, 1, 1, 500, 0, 8)

@@ -21,10 +21,8 @@ REMOVED = {
     "SketchingStage(expected_flows=)": lambda _: SketchingStage(MODEL, 8, WindowConfig(),
                                                                 expected_flows=10),
     "TopicBus.subscribe(maxsize=)": lambda _: TopicBus().subscribe("t", maxsize=1),
-    "LssSketch.memory_bytes(include_membership=)":
-        lambda _: LssSketch(MODEL, 8).memory_bytes(include_membership=False),
-    "LssSketch.memory_bytes(squeezed_membership=)":
-        lambda _: LssSketch(MODEL, 8).memory_bytes(squeezed_membership=False),
+    "LssSketch.to_bytes(include_membership=)":
+        lambda _: LssSketch(MODEL, 8).to_bytes(include_membership=False),
     "train_kmeans(max_iters=)": lambda _: train_kmeans(SAMPLES, 2, max_iters=5),
     "train_kmeans(tol=)": lambda _: train_kmeans(SAMPLES, 2, tol=0.1),
     "train_kmeans(n_init=)": lambda _: train_kmeans(SAMPLES, 2, n_init=1),

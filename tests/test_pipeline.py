@@ -101,6 +101,14 @@ class TestIngestStage:
         for i in range(1000):
             assert stage.ingest(pkt(b"only", 1, i)) is None
 
+    def test_negative_size_rejected_before_counting(self):
+        stage = IngestStage(capacity=4)
+        stage.ingest(pkt(b"A", 3, 1))
+        with pytest.raises(InvalidInputError, match="negative packet size -1"):
+            stage.ingest(TracePacket(b"j" * 13, -1, 2))
+        assert (stage.packets_seen, stage.bytes_seen) == (1, 3)
+        assert stage._table == {b"A": 3}
+
     def test_flush_drains_and_second_flush_empty(self):
         stage = IngestStage(capacity=8)
         stage.ingest(pkt(b"A", 3, 1))
@@ -366,6 +374,24 @@ class TestWindowTasks:
         assert everything == sorted(everything, reverse=True)
         with pytest.raises(InvalidInputError):
             hitters(-1)
+
+    def test_repeated_keys_count_once(self, tmp_path):
+        windows = [LssSketch(small_model(4, step=10), 100, hash_seed=19) for _ in range(2)]
+        for sketch, a in zip(windows, (30, 60)):
+            sketch.insert(b"a", a)
+            sketch.insert(b"b", 5)
+        store = store_windows(tmp_path, windows)
+
+        def query(task, keys):
+            return network_wide_query(store, *ALL_TIME, task, {"keys": keys, "threshold": 10})
+
+        for keys in ([b"a", b"a", b"b"], [b"a", b"b"]):
+            assert query("entropy", keys)["per_window"] == {"src-a/0": 1.0, "src-a/1": 1.0}
+            assert query("heavy-hitters", keys)["hitters"] == {b"a".hex(): [
+                {"window": "src-a/0", "estimate": 30.0}, {"window": "src-a/1", "estimate": 60.0}]}
+            assert query("heavy-changes", keys)["changes"] == {"src-a/0->1": [b"a".hex()]}
+        sizes = query("flow-size", [b"b", b"a", b"b"])["per_window"]["src-a/0"]
+        assert list(sizes) == [b"b".hex(), b"a".hex()]
 
     def test_heavy_changes(self, tmp_path):
         model = small_model(4, step=10)
