@@ -132,6 +132,10 @@ def _evaluate(name: str, query, truth: GroundTruth, memory_bytes: int,
     precision, recall = precision_recall(true_hh, pred_hh)
     true_entropy = truth.entropy()
     est_entropy = entropy_of_values(estimates)
+    # a window whose flows all have one size has entropy 0, where the
+    # relative error is undefined: its figure is the absolute error
+    entropy_error = (relative_error(true_entropy, est_entropy) if true_entropy > 0
+                     else abs(est_entropy))
     row = {
         "sketch": name,
         "memory_bytes": memory_bytes,
@@ -141,7 +145,7 @@ def _evaluate(name: str, query, truth: GroundTruth, memory_bytes: int,
             "p90_re": float(np.percentile(rel, 90)),
             "p99_re": float(np.percentile(rel, 99)),
         },
-        "entropy_re": relative_error(true_entropy, est_entropy),
+        "entropy_re": entropy_error,
         "heavy_hitters": {
             "threshold": hh_threshold,
             "true_count": len(true_hh),
@@ -272,11 +276,7 @@ _MERGE_SUM = ("merged_flow_events",)
 def _merge_window_rows(per_window: list[dict]) -> dict:
     """Average one sketch's metrics across windows (sum event counts)."""
     merged = dict(per_window[0])
-    n = len(per_window)
-    if n == 1:
-        merged["windows"] = 1
-        return merged
-    merged["windows"] = n
+    merged["windows"] = len(per_window)
     merged["flow_size"] = {
         field: float(np.mean([row["flow_size"][field] for row in per_window]))
         for field in per_window[0]["flow_size"]

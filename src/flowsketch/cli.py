@@ -7,6 +7,7 @@ import sys
 
 from . import bench
 from .bench import BenchmarkConfig, report_json, report_table, run_benchmark, run_sensitivity
+from .clustering import ClusterModel, InvalidInputError
 from .pipeline import QUERY_TASKS, SketchStore, WindowConfig, network_wide_query, run_pipeline
 from .traces import gen_trace, gen_uniform_trace, read_trace
 
@@ -74,10 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run ingestion -> sketching -> store")
     p.add_argument("trace")
     p.add_argument("store", help="store directory")
+    p.add_argument("--model", required=True,
+                   help="model JSON written by train; m is the sum of its allocation")
     p.add_argument("--ingest-capacity", type=int, default=1000)
-    p.add_argument("--time-window-ns", type=int,
-                   help="use a time window of this many nanoseconds")
-    _add_model_options(p)
+    windows = p.add_mutually_exclusive_group()
+    windows.add_argument("--window", type=int, default=bench.DEFAULT_WINDOW,
+                         help="flows per sliding window")
+    windows.add_argument("--time-window-ns", type=int,
+                         help="use a time window of this many nanoseconds")
+    p.add_argument("--seed", type=int, default=1, help="hash seed")
 
     q = sub.add_parser("query", help="network-wide query over a store directory")
     q.add_argument("store")
@@ -115,20 +121,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _trained_model(args):
-    """The cluster model the options ask for, fitted to the first
-    --train-samples flows of the trace; returns (model, m)."""
-    config = BenchmarkConfig(trace_path=args.trace, seed=args.seed,
+def _cmd_train(args) -> int:
+    """Fit the cluster model to the first --train-samples flows of the
+    trace and allocate it m = ratio * window buckets."""
+    config = BenchmarkConfig(trace_path=args.trace, seed=args.seed, ratios=(args.ratio,),
                              clusters=args.clusters, window=args.window,
                              train_samples=args.train_samples)
     records, _ = bench.load_records(config)
     samples = bench.training_samples(records, args.train_samples)
-    model, m, _ = bench.fit_model(config, samples, args.ratio)
-    return model, m
-
-
-def _cmd_train(args) -> int:
-    model, _ = _trained_model(args)
+    model, _, _ = bench.fit_model(config, samples, args.ratio)
     with open(args.out, "w") as fh:
         json.dump(model.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -205,8 +206,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    model, m = _trained_model(args)
-    if args.time_window_ns:
+    with open(args.model) as fh:
+        model = ClusterModel.from_json(json.load(fh))
+    if model.allocation is None:
+        raise InvalidInputError(f"model {args.model} has no allocation; "
+                                "write it with flowsketch train")
+    m = sum(model.allocation)
+    if args.time_window_ns is not None:
         window = WindowConfig(mode="time", capacity=args.time_window_ns)
     else:
         window = WindowConfig(mode="sequence", capacity=args.window)

@@ -57,8 +57,7 @@ class ClusterModel:
     allocation: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        # binary-search routing requires sorted centers; equal neighbors
-        # can only appear through narrow-precision round trips
+        # binary-search routing requires sorted centers
         if any(b < a for a, b in zip(self.centers, self.centers[1:])):
             raise InvalidInputError("centers must be sorted ascending")
         if not self.centers:
@@ -72,11 +71,12 @@ class ClusterModel:
         return replace(self, allocation=tuple(allocate_buckets(self, m, policy=policy)))
 
     def to_json(self) -> dict:
-        """Versioned document; centers are stored at 32-bit float precision."""
+        """Versioned document. Every float is written at full precision,
+        so from_json gives back this model exactly."""
         return {
             "format": "cluster-model",
             "version": 1,
-            "centers": [float(np.float32(c)) for c in self.centers],
+            "centers": list(self.centers),
             "entropy": list(self.entropy),
             "weight": list(self.weight),
             "density": list(self.density),
@@ -84,16 +84,35 @@ class ClusterModel:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "ClusterModel":
-        if doc.get("format") != "cluster-model" or doc.get("version") != 1:
-            raise InvalidInputError(f"unsupported model document: {doc.get('format')!r}")
-        return cls(
-            centers=tuple(doc["centers"]),
-            entropy=tuple(doc["entropy"]),
-            weight=tuple(doc["weight"]),
-            density=tuple(doc["density"]),
-            allocation=tuple(doc["allocation"]) if doc.get("allocation") else None,
-        )
+    def from_json(cls, doc) -> "ClusterModel":
+        """The model a to_json document describes. A wrong format or
+        version, a missing field, a field of the wrong type, or an
+        entropy, weight or density list whose length is not k raises
+        InvalidInputError; allocation values are checked by the sketch
+        that lays out its buckets from them."""
+        if not isinstance(doc, dict) or doc.get("format") != "cluster-model" \
+                or doc.get("version") != 1:
+            raise InvalidInputError("not a version 1 cluster-model document")
+        fields = {name: _json_list(doc, name, (int, float))
+                  for name in ("centers", "entropy", "weight", "density")}
+        for name in ("entropy", "weight", "density"):
+            if len(fields[name]) != len(fields["centers"]):
+                raise InvalidInputError(f"model {name} needs one entry per center")
+        return cls(**fields, allocation=_json_list(doc, "allocation", int) or None)
+
+
+def _json_list(doc: dict, name: str, types) -> tuple | None:
+    """doc[name] as a tuple of numbers of the given (non-bool) types;
+    an allocation may be null."""
+    if name not in doc:
+        raise InvalidInputError(f"model document lacks {name}")
+    values = doc[name]
+    if values is None and name == "allocation":
+        return None
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, types) for v in values):
+        raise InvalidInputError(f"model {name} must be a list of numbers")
+    return tuple(values)
 
 
 def kmeans_potential(samples: np.ndarray, centers: np.ndarray) -> float:

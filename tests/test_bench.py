@@ -17,7 +17,14 @@ from flowsketch.bench import (
 from flowsketch.clustering import InvalidInputError
 from flowsketch.lss import KeyNotFoundError
 from flowsketch.metrics import GroundTruth
-from flowsketch.traces import TracePacket, gen_trace, pack_flow_key, read_trace, write_trace
+from flowsketch.traces import (
+    TracePacket,
+    gen_trace,
+    gen_uniform_trace,
+    pack_flow_key,
+    read_trace,
+    write_trace,
+)
 
 
 def trace_with_zero_byte_flows(tmp_path, n_zero):
@@ -167,6 +174,27 @@ class TestRunBenchmark:
         assert row["flow_size"]["mean_re"] == 0.0
         assert row["entropy_re"] == 0.0
         assert row["heavy_hitters"]["f1"] == 1.0
+
+    def test_zero_entropy_window_scores_absolute_error(self):
+        # every flow has one size, so the true entropy is 0 and the
+        # entropy figure is the estimate's own entropy
+        truth = GroundTruth()
+        for key in (b"a", b"b", b"c", b"d"):
+            truth.add(key, 100)
+        estimates = {b"a": 100.0, b"b": 100.0, b"c": 50.0, b"d": 50.0}
+        assert _evaluate("cm", estimates.__getitem__, truth, 0, 100.0)["entropy_re"] == 1.0
+        assert _evaluate("lss", lambda key: 100.0, truth, 0, 100.0)["entropy_re"] == 0.0
+
+    def test_uniform_trace_runs(self, tmp_path):
+        path = str(tmp_path / "u.csv")
+        gen_uniform_trace(1, 300, 3, 100, path)
+        for window in (300, 100):
+            report = run_benchmark(small_config(trace_path=path, window=window,
+                                                train_samples=300))
+            rows = {r["sketch"]: r for r in report["rows"]}
+            assert rows["lss"]["windows"] == 300 // window
+            assert rows["lss"]["entropy_re"] == 0.0
+            assert rows["cm"]["entropy_re"] > 0.0
 
     def test_zero_byte_flow_in_a_trace(self, tmp_path):
         path = trace_with_zero_byte_flows(tmp_path, 1)

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from flowsketch import bench
+from flowsketch.bench import BenchmarkConfig
 from flowsketch.cli import main
+from flowsketch.pipeline import SketchStore, WindowConfig, run_pipeline
+from flowsketch.traces import read_trace
 
 
 def run_cli(*argv):
@@ -79,8 +83,11 @@ class TestOptions:
         ("bench", "--ratio", "0.1"),
         ("train", "t.csv", "m.json", "--counter-width", "32"),
         ("train", "t.csv", "m.json", "--hh-percentile", "90"),
-        ("pipeline", "t.csv", "store", "--counter-width", "32"),
-        ("pipeline", "t.csv", "store", "--hh-percentile", "90"),
+        ("pipeline", "t.csv", "store", "--counter-width", "32", "--model", "m.json"),
+        ("pipeline", "t.csv", "store", "--hh-percentile", "90", "--model", "m.json"),
+        ("pipeline", "t.csv", "store", "--ratio", "0.1", "--model", "m.json"),
+        ("pipeline", "t.csv", "store", "--clusters", "8", "--model", "m.json"),
+        ("pipeline", "t.csv", "store", "--train-samples", "100", "--model", "m.json"),
         ("sweep", "ratio", "--counter-width", "32"),
     ], ids=lambda argv: argv[0] + "-" + next(a for a in argv if a.startswith("--"))[2:])
     def test_unhonoured_flag_rejected(self, argv, capsys):
@@ -105,8 +112,12 @@ class TestPipelineAndQuery:
         run_cli("gen", trace, "--seed", 4, "--flows", 300)
         capsys.readouterr()
         store = tmp_path / "store"
-        assert run_cli("pipeline", trace, store, "--window", 100,
-                       "--clusters", 6, "--train-samples", 300, "--seed", 4) == 0
+        model = tmp_path / "model.json"
+        assert run_cli("train", trace, model, "--window", 100, "--clusters", 6,
+                       "--train-samples", 300, "--seed", 4) == 0
+        capsys.readouterr()
+        assert run_cli("pipeline", trace, store, "--model", model, "--window", 100,
+                       "--seed", 4) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["conserved"] is True
         assert stats["fifo_violations"] == 0
@@ -122,15 +133,88 @@ class TestPipelineAndQuery:
         assert "hitters" in hh
 
 
+class TestPipelineModel:
+    """pipeline sketches with the model file train wrote, and no other."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, capsys):
+        trace, model = tmp_path / "t.csv", tmp_path / "model.json"
+        run_cli("gen", trace, "--seed", 6, "--flows", 1200)
+        assert run_cli("train", trace, model, "--window", 400, "--clusters", 8,
+                       "--train-samples", 400, "--seed", 6) == 0
+        capsys.readouterr()
+        return trace, model
+
+    @staticmethod
+    def stored(store):
+        return [(e.window_id, e.window_start, e.window_end, e.payload)
+                for e in sorted(SketchStore(str(store)).range(0, 1 << 62),
+                                key=lambda e: e.window_id)]
+
+    @pytest.mark.parametrize("window", [("--window", 400), ("--time-window-ns", 200_000)],
+                             ids=["sequence", "time"])
+    def test_stores_what_the_fitted_model_stores(self, trained, tmp_path, window):
+        # the file holds the model train fitted, float for float, and m
+        # is the sum of its allocation
+        trace, model_path = trained
+        assert run_cli("pipeline", trace, tmp_path / "cli", "--model", model_path,
+                       "--seed", 6, *window) == 0
+        config = BenchmarkConfig(trace_path=str(trace), seed=6, window=400, clusters=8,
+                                 train_samples=400)
+        records, _ = bench.load_records(config)
+        model, m, _ = bench.fit_model(config, bench.training_samples(records, 400), 0.1)
+        mode = "sequence" if window[0] == "--window" else "time"
+        run_pipeline(read_trace(str(trace)), model, m, SketchStore(str(tmp_path / "lib")),
+                     window=WindowConfig(mode, window[1]), hash_seed=6)
+        stored = self.stored(tmp_path / "cli")
+        assert len(stored) > 1
+        assert stored == self.stored(tmp_path / "lib")
+
+    def test_does_not_train(self, trained, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("pipeline trained a model")
+
+        monkeypatch.setattr(bench, "train_model", no_training)
+        monkeypatch.setattr(bench, "fit_model", no_training)
+        trace, model = trained
+        assert run_cli("pipeline", trace, tmp_path / "store", "--model", model) == 0
+
+    def test_window_options_exclusive(self, trained, tmp_path, capsys):
+        trace, model = trained
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pipeline", trace, tmp_path / "store", "--model", model,
+                    "--window", 400, "--time-window-ns", 1000)
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("weight"),
+        lambda doc: doc["entropy"].pop(),
+        lambda doc: doc.update(allocation=None),
+        lambda doc: doc["allocation"].__setitem__(0, 0),
+    ], ids=["missing-field", "short-entropy", "no-allocation", "zero-bucket-array"])
+    def test_bad_model_file_rejected(self, trained, tmp_path, capsys, edit):
+        trace, model = trained
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        assert run_cli("pipeline", trace, tmp_path / "store", "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestQueryKeyOrder:
     def test_stdout_independent_of_hash_seed(self, tmp_path, capsys):
         # --keys-from keys go to the store in trace order, not in the
         # per-process order of a set of bytes
         trace = tmp_path / "t.csv"
         store = tmp_path / "store"
+        model = tmp_path / "model.json"
         run_cli("gen", trace, "--seed", 5, "--flows", 3000)
-        assert run_cli("pipeline", trace, store, "--window", 1000,
+        assert run_cli("train", trace, model, "--window", 1000,
                        "--train-samples", 1000, "--seed", 5) == 0
+        assert run_cli("pipeline", trace, store, "--model", model, "--window", 1000,
+                       "--seed", 5) == 0
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from flowsketch.clustering import (
     kmeans_potential,
     nearest_center,
     train_kmeans,
+    train_model,
 )
 from flowsketch.traces import zipf_values
 
@@ -220,16 +223,54 @@ class TestNearestCenter:
 
 
 class TestModelSerialization:
-    def test_json_round_trip_with_f32_centers(self):
+    def test_json_round_trip_is_exact(self):
         model = make_model([1.25, 7.5, 300.125], entropy=[0.1, 0.2, 0.3],
                            weight=[0.2, 0.3, 0.5], density=[0.5, 0.25, 0.25])
         model = model.with_allocation(30)
-        doc = model.to_json()
-        back = ClusterModel.from_json(doc)
-        assert back.centers == tuple(float(np.float32(c)) for c in model.centers)
-        assert back.allocation == model.allocation
+        doc = json.loads(json.dumps(model.to_json()))
+        assert ClusterModel.from_json(doc) == model
         assert doc["version"] == 1
+
+    def test_round_trip_keeps_routing(self):
+        # float32 centres would put 4 nearer the second centre
+        model = make_model([10 / 3, 14 / 3]).with_allocation(4)
+        assert nearest_center(model.centers, 4) == 0
+        back = ClusterModel.from_json(json.loads(json.dumps(model.to_json())))
+        assert back.centers == model.centers
+        assert nearest_center(back.centers, 4) == 0
+
+    def test_trained_model_round_trips(self):
+        samples = zipf_values(np.random.default_rng(3), 2000, 1.1, 10_000).tolist()
+        model = train_model(samples, 12, seed=3).with_allocation(200)
+        assert ClusterModel.from_json(json.loads(json.dumps(model.to_json()))) == model
 
     def test_bad_document_rejected(self):
         with pytest.raises(InvalidInputError):
             ClusterModel.from_json({"format": "nope"})
+
+    @pytest.mark.parametrize("field", ["centers", "entropy", "weight", "density",
+                                       "allocation"])
+    def test_missing_field_rejected(self, field):
+        doc = make_model([1.0, 2.0, 3.0]).with_allocation(30).to_json()
+        del doc[field]
+        with pytest.raises(InvalidInputError, match=field):
+            ClusterModel.from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("version", 2),
+        ("density", [0.5, 0.5]),
+        ("weight", [1.0]),
+        ("centers", ["1", "2", "3"]),
+        ("entropy", [True, 0.5, 0.5]),
+        ("allocation", [10.0, 10.0, 10.0]),
+    ], ids=["version", "short-density", "short-weight", "text-centers", "bool-entropy",
+            "float-allocation"])
+    def test_malformed_field_rejected(self, field, value):
+        doc = make_model([1.0, 2.0, 3.0]).with_allocation(30).to_json()
+        doc[field] = value
+        with pytest.raises(InvalidInputError):
+            ClusterModel.from_json(doc)
+
+    def test_null_allocation_reads_as_none(self):
+        model = make_model([1.0, 2.0])
+        assert ClusterModel.from_json(model.to_json()) == model

@@ -2,6 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import event, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from flowsketch.hashing import key_digest, mix16
 from flowsketch.membership import (
@@ -310,3 +313,83 @@ def test_alt_index_is_involution():
         i1 = int(rng.integers(0, 1024))
         i2 = table._alt_index(i1, fp)
         assert table._alt_index(i2, fp) == i1
+
+
+def _screened_pool(table, salt, count, degenerate):
+    """count keys that no other pool key shares a fingerprint and a
+    candidate bucket with, so the table cannot merge two of them; with
+    degenerate, only keys whose two candidate buckets are both bucket 0."""
+    pool, seen = [], []
+    i = 0
+    while len(pool) < count:
+        key = f"{salt}-{i}".encode()
+        i += 1
+        fp, i1 = table._fp_and_index(key)
+        buckets = {i1, table._alt_index(i1, fp)}
+        if degenerate and buckets != {0}:
+            continue
+        if any(fp == ofp and buckets & obuckets for ofp, obuckets in seen):
+            continue
+        seen.append((fp, buckets))
+        pool.append(key)
+    return pool
+
+
+_SM_TABLE = dict(num_buckets=4, max_kicks=16, seed=7)
+# six keys confined to bucket 0 make a fifth of them fail its kick chain
+_SM_POOL = (_screened_pool(CuckooTable(**_SM_TABLE), "gen", 14, False)
+            + _screened_pool(CuckooTable(**_SM_TABLE), "deg", 6, True))
+
+
+class CuckooTableMachine(RuleBasedStateMachine):
+    """CuckooTable against a dict oracle: inserts of new keys, lookups,
+    failed inserts that leave the table as it was, and the to_bytes /
+    from_bytes round trip."""
+
+    def __init__(self):
+        super().__init__()
+        self.table = CuckooTable(**_SM_TABLE)
+        self.oracle = {}
+
+    def snapshot(self):
+        return self.table.to_bytes(), self.table._vals.tobytes(), self.table.occupied
+
+    @rule(key=st.sampled_from(_SM_POOL), cluster_index=st.integers(0, 255),
+          value=st.integers(0, (1 << 64) - 1))
+    def insert(self, key, cluster_index, value):
+        if key in self.oracle:
+            return
+        before = self.snapshot()
+        try:
+            self.table.insert(key, cluster_index, value)
+        except TableFullError as exc:
+            event("kick chain failed" if "displacements" in str(exc) else "load cap reached")
+            assert self.snapshot() == before
+            return
+        self.oracle[key] = (cluster_index, value)
+
+    @rule(key=st.sampled_from(_SM_POOL))
+    def lookup(self, key):
+        hit = self.table.lookup(key)
+        assert (None if hit is None else tuple(hit)) == self.oracle.get(key)
+
+    @rule()
+    def round_trip(self):
+        blob = self.table.to_bytes()
+        back = CuckooTable.from_bytes(blob)
+        assert back.to_bytes() == blob
+        assert back.occupied == len(self.oracle)
+        for key in _SM_POOL:
+            expected = self.oracle.get(key)
+            hit = back.lookup(key)
+            assert (None if hit is None else tuple(hit)) == (
+                None if expected is None else (expected[0], None))
+
+    @invariant()
+    def occupancy_matches(self):
+        assert self.table.occupied == len(self.oracle)
+
+
+CuckooTableMachine.TestCase.settings = settings(max_examples=150, stateful_step_count=40,
+                                                deadline=None)
+TestCuckooTableMachine = CuckooTableMachine.TestCase

@@ -1,14 +1,18 @@
+import hashlib
+import json
 import logging
 import math
+import struct
 import threading
 
 import numpy as np
 import pytest
 
-from flowsketch.clustering import ClusterModel, InvalidInputError
+from flowsketch.clustering import ClusterModel, InvalidInputError, train_model
 from flowsketch.hashing import key_digest
 from flowsketch.lss import LssSketch
 from flowsketch.pipeline import (
+    QUERY_TASKS,
     FlowRecord,
     IngestStage,
     SketchEnvelope,
@@ -583,3 +587,48 @@ class TestStageFailure:
                                                window=WindowConfig("sequence", 1),
                                                ingest_capacity=10))
         assert isinstance(exc, OSError)
+
+
+class TestPinnedOutputs:
+    """sha256 of what run_pipeline stores and of the five query reports,
+    over a fixed trace and an in-process model, pinned across refactors
+    of the pipeline, the sketch and the model's installation."""
+
+    PINS = {
+        "sequence": {
+            "payloads": "c689acffc241e1ab692bf9bcda2c9480914034e66cfa93b0df2c2eb33ae79489",
+            "reports": "91ec93b1a28d6b8213fffd2918e5c1296e292c9205b582209f0eda3a4cee1cd0",
+        },
+        "time": {
+            "payloads": "f06f1ec2cad01446dcd1ac536d68ba1b3ca7eb33ecc30f500e79d938b21fa406",
+            "reports": "824678224f236ece6e86e94ded49ddc8e4f63914791775f6931462e1f7646166",
+        },
+    }
+
+    def run(self, tmp_path, window):
+        packets, totals = generate_packets(21, 1500, 1.1, 3.0, v_max=200)
+        model = train_model(list(totals.values()), 8, seed=21).with_allocation(150)
+        store = SketchStore(str(tmp_path / "store"))
+        run_pipeline(packets, model, 150, store, window=window,
+                     ingest_capacity=200, hash_seed=21)
+        return store, sorted(totals)[::7]
+
+    @staticmethod
+    def payload_digest(store):
+        h = hashlib.sha256()
+        for e in sorted(store.range(*ALL_TIME), key=lambda e: e.window_id):
+            h.update(struct.pack("<Qqq", e.window_id, e.window_start, e.window_end))
+            h.update(e.payload)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("window", [WindowConfig("sequence", 400),
+                                        WindowConfig("time", 500_000)], ids=["sequence", "time"])
+    def test_payloads_and_reports(self, tmp_path, window):
+        store, keys = self.run(tmp_path, window)
+        reports = [network_wide_query(store, *ALL_TIME, task,
+                                      {"keys": keys, "threshold": 40})
+                   for task in QUERY_TASKS]
+        got = {"payloads": self.payload_digest(store),
+               "reports": hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
+               .hexdigest()}
+        assert got == self.PINS[window.mode]
