@@ -22,7 +22,8 @@ import numpy as np
 
 from .baselines import CmSketch, CsSketch, bank_hashes
 from .clustering import ClusterModel, InvalidInputError, train_model
-from .lss import BucketUnderflowError, KeyNotFoundError, LssSketch, sketch_bytes
+from .hashing import key_digests
+from .lss import BucketUnderflowError, LssSketch, sketch_bytes
 from .membership import CuckooTable
 from .metrics import GroundTruth, entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
@@ -112,21 +113,13 @@ def fit_model(config: BenchmarkConfig, samples, ratio: float) -> tuple[ClusterMo
     return model.with_allocation(m, policy=config.allocation_policy), m, k
 
 
-def _evaluate(name: str, query, truth: GroundTruth, memory_bytes: int,
+def _evaluate(name: str, estimates: list, truth: GroundTruth, memory_bytes: int,
               hh_threshold: float, extra: dict | None = None) -> dict:
+    """Score one sketch's estimates, given in truth.keys() order."""
     keys = truth.keys()
-    rel_errors = []
-    estimates = []
-    for k in keys:
-        try:
-            est = query(k)
-        except KeyNotFoundError:  # a flow the clustered sketch lost scores as 0
-            est = 0.0
-        estimates.append(est)
-        total = truth.total(k)
-        if total > 0:  # a 0-byte flow has no relative error; it still counts below
-            rel_errors.append(relative_error(total, est))
-    rel = np.asarray(rel_errors)
+    # a 0-byte flow has no relative error; it still counts below
+    rel = np.fromiter((relative_error(truth.total(k), est) for k, est in zip(keys, estimates)
+                       if truth.total(k) > 0), dtype=np.float64)
     true_hh = truth.heavy_hitters(hh_threshold)
     pred_hh = {k for k, e in zip(keys, estimates) if e > hh_threshold}
     precision, recall = precision_recall(true_hh, pred_hh)
@@ -199,11 +192,11 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
     {sketch: row} per fit. A window without a flow of positive total
     has no flow-size error to score and raises InvalidInputError.
 
-    The window's exact totals, and its keys' bank hashes when a
-    baseline runs, are built once here and shared by every ratio, so
-    at most one window's hashes are held at a time. The clustered
-    sketch replays the records, since its incremental path (migrations,
-    merged-flow events) is part of what is scored; Count-Min and
+    The window's exact totals, and its keys' hashes, are built once
+    here and shared by every ratio, so at most one window's hashes are
+    held at a time. The clustered sketch replays the records, since its
+    incremental path (migrations, merged-flow events) is part of what
+    is scored, and is read back in one batch; Count-Min and
     Count-Sketch are linear, so inserting each flow's total leaves the
     same counters as replaying its fragments."""
     truth = GroundTruth()
@@ -212,17 +205,27 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
     if not any(total > 0 for total in truth.totals.values()):
         raise InvalidInputError(f"window {index} has no flow with a positive total: "
                                 "its flow-size relative error is undefined")
-    hashes = None
-    if "cm" in config.sketches or "cs" in config.sketches:
-        hashes = {key: bank_hashes(key, config.seed, BANKS) for key in truth.totals}
+    hashes = _window_hashes(config, truth)
     return [_score_fit(config, fit, window_records, truth, hashes, hh_threshold)
             for fit in fits]
 
 
+def _window_hashes(config: BenchmarkConfig, truth: GroundTruth) -> tuple:
+    """(bank hashes by key, or None without a baseline; key_digests of
+    truth.keys(), or None without the clustered sketch)."""
+    banks = digests = None
+    if "cm" in config.sketches or "cs" in config.sketches:
+        banks = {key: bank_hashes(key, config.seed, BANKS) for key in truth.totals}
+    if "lss" in config.sketches:
+        digests = key_digests(truth.keys(), config.seed)
+    return banks, digests
+
+
 def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
-               hashes: dict | None, hh_threshold: float) -> dict:
+               hashes: tuple, hh_threshold: float) -> dict:
     """Fill and score every configured sketch at one fit, one sketch at
-    a time, in SKETCH_KINDS order."""
+    a time, in SKETCH_KINDS order, reading with _window_hashes' hashes."""
+    banks, digests = hashes
     model, m, k = fit
     n_flows = truth.cardinality()
     # every structure additionally needs key tracking to answer the
@@ -243,7 +246,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
                                counter_width=config.counter_width,
                                expected_flows=config.window)
             merged = _fill_lss(sketch, window_records)
-            query = sketch.query
+            estimates = _lss_estimates(sketch, digests)
             own_bytes = sketch_budget
             extra = {
                 "cardinality_error": abs(sketch.cardinality() - n_flows) / n_flows,
@@ -252,21 +255,27 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
         else:
             kind = CmSketch if name == "cm" else CsSketch
             sketch = kind(BANKS * per_bank, c=BANKS, seed=config.seed)
-            query = _fill_hashed(sketch, truth, hashes)
+            estimates = _fill_hashed(sketch, truth, banks)
             own_bytes = sketch.memory_bytes(config.counter_width)
             extra = {}
         extra.update(sketch_bytes=own_bytes, membership_bytes=membership_bytes)
-        rows[name] = _evaluate(name, query, truth, own_bytes + membership_bytes,
+        rows[name] = _evaluate(name, estimates, truth, own_bytes + membership_bytes,
                                hh_threshold, extra)
     return rows
 
 
+def _lss_estimates(sketch: LssSketch, digests) -> list[float]:
+    """The sketch's estimate of each key whose key_digests are given, in
+    one batch read; a flow the sketch lost scores as 0."""
+    return [0.0 if b is None else b[0] / b[1] for b in sketch.buckets(digests)]
+
+
 def _fill_hashed(sketch, truth: GroundTruth, hashes: dict):
     """Insert every flow's exact total under its precomputed bank
-    hashes; returns the matching key -> estimate query."""
+    hashes; returns the estimates in truth.keys() order."""
     for key, total in truth.totals.items():
         sketch.insert_hashed(hashes[key], total)
-    return lambda key: sketch.query_hashed(hashes[key])
+    return [sketch.query_hashed(hashes[key]) for key in truth.totals]
 
 
 _MERGE_MEAN = ("entropy_re", "cardinality_error")
@@ -406,7 +415,8 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
     series = []
     for epoch in epochs:
         records, truth = _epoch_records(config, epoch)
-        row = _score_fit(lss_only, fit, records, truth, None, hh_threshold)["lss"]
+        row = _score_fit(lss_only, fit, records, truth, _window_hashes(lss_only, truth),
+                         hh_threshold)["lss"]
         series.append({"epoch": int(epoch), **_lss_summary(row)})
     return series
 

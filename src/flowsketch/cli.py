@@ -8,6 +8,7 @@ import sys
 from . import bench
 from .bench import BenchmarkConfig, report_json, report_table, run_benchmark, run_sensitivity
 from .clustering import ClusterModel, InvalidInputError
+from .lss import check_layout
 from .pipeline import QUERY_TASKS, SketchStore, WindowConfig, network_wide_query, run_pipeline
 from .traces import gen_trace, gen_uniform_trace, read_trace
 
@@ -212,6 +213,8 @@ def _cmd_pipeline(args) -> int:
         raise InvalidInputError(f"model {args.model} has no allocation; "
                                 "write it with flowsketch train")
     m = sum(model.allocation)
+    # reject a layout the sketch would reject before reading the trace
+    check_layout(model.centers, model.allocation, m)
     if args.time_window_ns is not None:
         window = WindowConfig(mode="time", capacity=args.time_window_ns)
     else:

@@ -6,15 +6,21 @@ builtin ``hash`` is salted per process and must never be used here).
 A single keyed blake2b call per key yields enough independent bytes
 for the bucket index, the 16-bit membership fingerprint, and the
 cuckoo-table index, so the hot insert path hashes each key once.
+key_digests does the same for a batch of keys, for the batch read.
 """
 
 import hashlib
 import struct
 from functools import lru_cache
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _DIGEST = struct.Struct("<QHI")  # bucket hash, fingerprint, index hash
 _BANK = struct.Struct("<QB")     # index hash, sign byte
+# the same three fields as _DIGEST, read from a run of 16-byte digests
+_DIGESTS = np.dtype({"names": ["bucket", "fp", "index"], "formats": ["<u8", "<u2", "<u4"],
+                     "offsets": [0, 8, 10], "itemsize": 16})
 
 
 def _keyed(key: int, digest_size: int):
@@ -50,6 +56,21 @@ def key_digest(key: bytes, seed: int) -> tuple[int, int, int]:
     return bucket_hash, fingerprint or 1, index_hash
 
 
+def key_digests(keys, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """key_digest of every key, as three uint64 arrays in key order:
+    (bucket_hashes, fingerprints, index_hashes)."""
+    template = _digest_template(seed)
+    digests = bytearray()
+    for key in keys:
+        h = template.copy()
+        h.update(key)
+        digests += h.digest()
+    fields = np.frombuffer(digests, dtype=_DIGESTS)
+    fps = fields["fp"].astype(np.uint64)
+    fps[fps == 0] = 1
+    return fields["bucket"].astype(np.uint64), fps, fields["index"].astype(np.uint64)
+
+
 def bank_hash(key: bytes, seed: int, bank: int) -> tuple[int, int]:
     """Per-bank hash for the multi-bank baselines.
 
@@ -64,7 +85,8 @@ def bank_hash(key: bytes, seed: int, bank: int) -> tuple[int, int]:
 
 def mix16(fp: int) -> int:
     """Cheap integer mix of a 16-bit fingerprint, used to derive the
-    alternate cuckoo bucket (partial-key cuckoo hashing)."""
+    alternate cuckoo bucket (partial-key cuckoo hashing). Exact on a
+    uint64 array too, element by element."""
     x = (fp * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 29
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64

@@ -15,17 +15,19 @@ a one-shot insertion of per-flow totals.
 """
 
 import struct
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
 from .clustering import ClusterModel, InvalidInputError, allocate_buckets, int_value, nearest_center
-from .hashing import key_digest
+from .hashing import key_digest, key_digests
 from .membership import CuckooTable
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
 COUNTER_FORMATS = {16: "H", 32: "I", 64: "Q"}  # counter width -> struct code on the wire
+BATCH = 1024  # keys per numpy pass of LssSketch.buckets
 
 
 class KeyNotFoundError(KeyError):
@@ -47,6 +49,24 @@ def sketch_bytes(m: int, k: int, counter_width: int) -> int:
     A closed window costs this plus its squeezed table's
     CuckooTable.memory_bytes()."""
     return m * 2 * (counter_width // 8) + k * 4
+
+
+def check_layout(centers, allocation, m: int, counter_width: int = 32) -> None:
+    """Raise InvalidInputError unless a sketch can be built on this
+    layout: 1-256 centers sorted ascending, one allocation entry of at
+    least 1 per center summing to m, and a 16, 32 or 64-bit counter."""
+    k = len(centers)
+    if not 1 <= k <= MAX_CLUSTERS:
+        raise InvalidInputError(f"between 1 and {MAX_CLUSTERS} clusters supported, got {k}")
+    if not all(a <= b for a, b in zip(centers, centers[1:])):
+        raise InvalidInputError("centers must be sorted ascending")
+    if len(allocation) != k or min(allocation) < 1:
+        raise InvalidInputError(f"allocation {list(allocation)} needs one entry of at "
+                                f"least 1 per center ({k})")
+    if sum(allocation) != m:
+        raise InvalidInputError(f"allocation sums to {sum(allocation)}, not m={m}")
+    if counter_width not in COUNTER_FORMATS:
+        raise InvalidInputError(f"counter_width must be 16, 32 or 64, got {counter_width}")
 
 
 class LssSketch:
@@ -72,18 +92,7 @@ class LssSketch:
                     membership: CuckooTable) -> None:
         """Check the bucket layout and start with empty arrays over the
         given membership table."""
-        k = len(centers)
-        if not 1 <= k <= MAX_CLUSTERS:
-            raise InvalidInputError(f"between 1 and {MAX_CLUSTERS} clusters supported, got {k}")
-        if not all(a <= b for a, b in zip(centers, centers[1:])):
-            raise InvalidInputError("centers must be sorted ascending")
-        if len(allocation) != k or min(allocation) < 1:
-            raise InvalidInputError(f"allocation {list(allocation)} needs one entry of at "
-                                    f"least 1 per center ({k})")
-        if sum(allocation) != m:
-            raise InvalidInputError(f"allocation sums to {sum(allocation)}, not m={m}")
-        if counter_width not in COUNTER_FORMATS:
-            raise InvalidInputError(f"counter_width must be 16, 32 or 64, got {counter_width}")
+        check_layout(centers, allocation, m, counter_width)
         self.centers = tuple(centers)
         self.allocation = list(allocation)
         self.m = m
@@ -201,20 +210,34 @@ class LssSketch:
         and its bucket is not empty."""
         return self._bucket(key) is not None
 
-    def _held(self, keys):
-        for k in keys:
-            found = self._bucket(k)
-            if found is not None:
-                yield k, found
+    def buckets(self, digests) -> Iterator[tuple[int, int] | None]:
+        """_bucket of many keys from their key_digests(keys, hash_seed):
+        yields one (val_sum, key_count) or None per key, in key order.
+        The membership probe and the bucket positions are computed with
+        numpy, BATCH keys at a time, so a large batch holds no more than
+        BATCH keys' temporaries; the counters are read from the flat
+        lists, so they stay exact ints. Single-key reads stay on
+        _bucket: a numpy batch of one costs many times a scalar lookup."""
+        bucket_hs, fps, idx_hs = digests
+        # uint64 throughout: uint64 % int64 would promote to float64
+        alloc = np.asarray(self.allocation, dtype=np.uint64)
+        offsets = np.asarray(self._offsets, dtype=np.uint64)
+        vals, counts = self._val_sums, self._key_counts
+        for start in range(0, len(fps), BATCH):
+            part = slice(start, start + BATCH)
+            clusters = self.membership._lookup_fps(fps[part], idx_hs[part])
+            routed = np.maximum(clusters, 0)  # a miss's position is computed, never read
+            positions = offsets[routed] + bucket_hs[part] % alloc[routed]
+            for cluster, pos in zip(clusters.tolist(), positions.tolist()):
+                count = counts[pos] if cluster >= 0 else 0
+                yield (vals[pos], count) if count else None
 
     def estimates(self, keys) -> dict[bytes, float]:
         """Estimates of the keys this sketch holds, in first-seen order;
         keys that query() would reject are left out."""
-        return {k: val_sum / count for k, (val_sum, count) in self._held(keys)}
-
-    def exact_estimates(self, keys) -> dict[bytes, Fraction]:
-        """estimates() as exact rationals."""
-        return {k: Fraction(val_sum, count) for k, (val_sum, count) in self._held(keys)}
+        keys = list(keys)
+        found = self.buckets(key_digests(keys, self.hash_seed))
+        return {k: b[0] / b[1] for k, b in zip(keys, found) if b is not None}
 
     def cardinality(self) -> int:
         """Exact distinct-flow count: the sum of all key_count fields."""

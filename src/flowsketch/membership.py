@@ -115,6 +115,22 @@ class CuckooTable:
         s = self._find_slot(fp, idx_h)
         return None if s < 0 else self._read(s)
 
+    def _lookup_fps(self, fps: np.ndarray, idx_hs: np.ndarray) -> np.ndarray:
+        """_lookup_fp over uint64 arrays of fingerprints and index
+        hashes: the cluster index of the slot each probe finds, taking
+        the first match in i1 then in i2 as _probe does, or -1."""
+        slots = np.frombuffer(self._fps, dtype=np.uint16).reshape(-1, SLOTS_PER_BUCKET)
+        i1 = idx_hs & np.uint64(self._mask)
+        i2 = (i1 ^ mix16(fps)) & np.uint64(self._mask)
+        want = fps.astype(np.uint16)[:, None]
+        in1 = slots[i1] == want
+        in2 = slots[i2] == want
+        hit1 = in1.any(axis=1)
+        slot = np.where(hit1, i1 * SLOTS_PER_BUCKET + in1.argmax(axis=1).astype(np.uint64),
+                        i2 * SLOTS_PER_BUCKET + in2.argmax(axis=1).astype(np.uint64))
+        cis = np.frombuffer(self._cis, dtype=np.uint8)
+        return np.where(hit1 | in2.any(axis=1), cis[slot].astype(np.int64), -1)
+
     def _insert_fp(self, fp: int, idx_h: int, cluster_index: int, value: int,
                    miss: int) -> None:
         """Add an entry for fp. miss is _find_slot's (or _open_slot's)
@@ -237,10 +253,22 @@ class CuckooTable:
             raise ValueError(f"truncated table body at offset {len(data)} (need {need})")
         if len(data) > need:
             raise ValueError(f"{len(data) - need} trailing bytes at offset {need}")
-        table = cls(num_buckets=num_buckets, max_kicks=max_kicks, seed=seed).squeeze()
+        if num_buckets < 1 or num_buckets & (num_buckets - 1):
+            raise ValueError(f"num_buckets must be a power of two, got {num_buckets}")
+        # the fields __init__ sets, without its zeroed arrays and random
+        # stream: a squeezed table is read-only, so it never kicks
+        table = cls.__new__(cls)
+        table.num_buckets = num_buckets
+        table.max_kicks = max_kicks
+        table.seed = seed
+        table._mask = num_buckets - 1
         table._fps = array("H")
         table._fps.frombytes(data[off:off + 2 * nslots])
         table._cis = array("B")
         table._cis.frombytes(data[off + 2 * nslots:need])
+        table._vals = None
+        table._rng = None
+        table._max_occupied = int(0.95 * nslots)
         table.occupied = int(np.count_nonzero(np.frombuffer(table._fps, dtype=np.uint16)))
+        table.squeezed = True
         return table

@@ -14,9 +14,11 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from math import gcd
 
 from .bus import TopicBus
 from .clustering import ClusterModel, InvalidInputError
+from .hashing import key_digests
 from .lss import BucketUnderflowError, LssSketch
 from .membership import TableFullError
 from .metrics import entropy_of_values
@@ -305,6 +307,9 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     more than the threshold. Per-flow tasks skip a key in a window that
     does not hold it, including a key whose fingerprint matches a
     foreign one on an empty bucket; heavy changes count it as 0 there.
+    Each key is digested once per query (once per hash seed among the
+    windows), and every window reads the keys through the batch read,
+    LssSketch.buckets.
     """
     params = params or {}
     if task not in QUERY_TASKS:
@@ -321,18 +326,31 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
     if keys is None:
         raise InvalidInputError(f"task {task!r} requires params['keys']")
     keys = list(dict.fromkeys(keys))  # each key once, in first-seen order
+    digests: dict[int, tuple] = {}  # hash_seed -> the keys' key_digests
+
+    def held(e: SketchEnvelope) -> list[tuple[bytes, tuple[int, int]]]:
+        """(key, (val_sum, key_count)) of each key window e holds, in
+        key order; the keys are digested once per hash seed."""
+        sketch = e.sketch()
+        if sketch.hash_seed not in digests:
+            digests[sketch.hash_seed] = key_digests(keys, sketch.hash_seed)
+        found = sketch.buckets(digests[sketch.hash_seed])
+        return [(k, b) for k, b in zip(keys, found) if b is not None]
+
+    def estimates(e: SketchEnvelope) -> dict[bytes, float]:
+        return {k: val_sum / count for k, (val_sum, count) in held(e)}
+
     if task == "flow-size":
-        sizes = {}
-        for e in envelopes:
-            ests = e.sketch().estimates(keys)
-            sizes[f"{e.source}/{e.window_id}"] = {k.hex(): est for k, est in ests.items()}
-        report["per_window"] = sizes
+        report["per_window"] = {f"{e.source}/{e.window_id}":
+                                {k.hex(): est for k, est in estimates(e).items()}
+                                for e in envelopes}
         return report
     if task == "entropy":
         ent = {}
         for e in envelopes:
-            exact = e.sketch().exact_estimates(keys)
-            sizes = [exact[k] for k in keys if k in exact]
+            # exact estimates as gcd-reduced (num, den) pairs: equal
+            # pairs are equal rationals, so they group as Fractions would
+            sizes = [(v // g, c // g) for _, (v, c) in held(e) for g in (gcd(v, c),)]
             if sizes:
                 ent[f"{e.source}/{e.window_id}"] = entropy_of_values(sizes)
         report["per_window"] = ent
@@ -346,8 +364,7 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
             raise InvalidInputError("threshold must be non-negative")
         union: dict[str, list] = {}
         for e in envelopes:
-            ests = e.sketch().estimates(keys)
-            hits = [(k, ests[k]) for k in keys if k in ests and ests[k] > threshold]
+            hits = [(k, est) for k, est in estimates(e).items() if est > threshold]
             hits.sort(key=lambda ke: (-ke[1], ke[0]))
             for k, est in hits:
                 union.setdefault(k.hex(), []).append(
@@ -363,7 +380,7 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
         if len(envs) < 2:
             continue
         envs.sort(key=lambda e: e.window_id)
-        ests = [e.sketch().estimates(keys) for e in envs]
+        ests = [estimates(e) for e in envs]
         for j in range(1, len(envs)):
             before, after = ests[j - 1], ests[j]
             changes[f"{source}/{envs[j - 1].window_id}->{envs[j].window_id}"] = [

@@ -7,6 +7,7 @@ from flowsketch import bench
 from flowsketch.bench import (
     BenchmarkConfig,
     _evaluate,
+    _lss_estimates,
     load_records,
     report_json,
     report_table,
@@ -14,8 +15,9 @@ from flowsketch.bench import (
     run_sensitivity,
     training_samples,
 )
-from flowsketch.clustering import InvalidInputError
-from flowsketch.lss import KeyNotFoundError
+from flowsketch.clustering import ClusterModel, InvalidInputError
+from flowsketch.hashing import key_digests
+from flowsketch.lss import KeyNotFoundError, LssSketch
 from flowsketch.metrics import GroundTruth
 from flowsketch.traces import (
     TracePacket,
@@ -153,13 +155,16 @@ class TestRunBenchmark:
         truth = GroundTruth()
         for key, value in ((b"a", 10), (b"lost", 20), (b"c", 40)):
             truth.add(key, value)
-
-        def query(key):
-            if key == b"lost":
-                raise KeyNotFoundError(key)
-            return float(truth.total(key))
-
-        row = _evaluate("lss", query, truth, 0, 15.0)
+        model = ClusterModel(centers=(10.0, 40.0), entropy=(0.5, 0.5), weight=(0.5, 0.5),
+                             density=(0.5, 0.5))
+        sketch = LssSketch(model, 2, hash_seed=3)
+        sketch.insert(b"a", 10)
+        sketch.insert(b"c", 40)
+        with pytest.raises(KeyNotFoundError):
+            sketch.query(b"lost")
+        estimates = _lss_estimates(sketch, key_digests(truth.keys(), 3))
+        assert estimates == [10.0, 0.0, 40.0]
+        row = _evaluate("lss", estimates, truth, 0, 15.0)
         assert row["flow_size"]["mean_re"] == pytest.approx(1 / 3)  # errors 0, 1, 0
         assert row["heavy_hitters"]["recall"] == 0.5
 
@@ -167,8 +172,7 @@ class TestRunBenchmark:
         truth = GroundTruth()
         for key, value in ((b"a", 10), (b"empty", 0), (b"c", 40)):
             truth.add(key, value)
-        estimates = {b"a": 10.0, b"empty": 5.0, b"c": 40.0}
-        row = _evaluate("lss", estimates.__getitem__, truth, 0, 15.0)
+        row = _evaluate("lss", [10.0, 5.0, 40.0], truth, 0, 15.0)
         # the 0-byte flow has no relative error but still counts as a
         # flow for entropy (three distinct sizes on both sides)
         assert row["flow_size"]["mean_re"] == 0.0
@@ -181,9 +185,8 @@ class TestRunBenchmark:
         truth = GroundTruth()
         for key in (b"a", b"b", b"c", b"d"):
             truth.add(key, 100)
-        estimates = {b"a": 100.0, b"b": 100.0, b"c": 50.0, b"d": 50.0}
-        assert _evaluate("cm", estimates.__getitem__, truth, 0, 100.0)["entropy_re"] == 1.0
-        assert _evaluate("lss", lambda key: 100.0, truth, 0, 100.0)["entropy_re"] == 0.0
+        assert _evaluate("cm", [100.0, 100.0, 50.0, 50.0], truth, 0, 100.0)["entropy_re"] == 1.0
+        assert _evaluate("lss", [100.0] * 4, truth, 0, 100.0)["entropy_re"] == 0.0
 
     def test_uniform_trace_runs(self, tmp_path):
         path = str(tmp_path / "u.csv")

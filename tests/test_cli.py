@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flowsketch import bench
+from flowsketch import bench, cli
 from flowsketch.bench import BenchmarkConfig
 from flowsketch.cli import main
 from flowsketch.pipeline import SketchStore, WindowConfig, run_pipeline
@@ -201,6 +201,22 @@ class TestPipelineModel:
         assert run_cli("pipeline", trace, tmp_path / "store", "--model", model) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bad_allocation_fails_before_reading_the_trace(self, trained, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("pipeline read the trace")
+
+        monkeypatch.setattr(cli, "read_trace", no_reading)
+        trace, model = trained
+        doc = json.loads(model.read_text())
+        doc["allocation"][0] = 0
+        model.write_text(json.dumps(doc))
+        store = tmp_path / "store"
+        assert run_cli("pipeline", trace, store, "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: allocation") and "Traceback" not in err
+        assert not store.exists()
 
 
 class TestQueryKeyOrder:

@@ -1,8 +1,9 @@
 import hashlib
 
+import numpy as np
 import pytest
 
-from flowsketch.hashing import bank_hash, key_digest
+from flowsketch.hashing import bank_hash, key_digest, key_digests, mix16
 
 SEEDS = (0, 1, -3, 2**70)
 KEYS = (b"", b"a", bytes(13), b"\x0a\x00\x00\x01\xc0\xa8\x00\x02\x04\x00\x00\x50\x06", b"x" * 300)
@@ -33,3 +34,25 @@ def test_bank_hash_matches_one_shot_blake2b(seed, bank):
         expected = (int.from_bytes(d[0:8], "little"), 1 if d[8] & 1 else -1)
         assert bank_hash(key, seed, bank) == expected
 
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_key_digests_match_key_digest(seed):
+    # the fingerprint search finds a key whose raw fingerprint is 0
+    zero_fp = next(k for k in (i.to_bytes(4, "little") for i in range(1 << 20))
+                   if one_shot(k, seed, 16)[8:10] == b"\0\0")
+    keys = list(KEYS) + [zero_fp] + [f"k{i}".encode() for i in range(200)] + [b"a"]
+    arrays = key_digests(keys, seed)
+    assert all(a.dtype == np.uint64 and len(a) == len(keys) for a in arrays)
+    assert list(zip(*(a.tolist() for a in arrays))) == [key_digest(k, seed) for k in keys]
+    assert key_digest(zero_fp, seed)[1] == 1
+
+
+def test_key_digests_of_no_keys():
+    assert [a.tolist() for a in key_digests([], 3)] == [[], [], []]
+
+
+def test_mix16_on_arrays_equals_scalar():
+    fps = np.arange(1 << 16, dtype=np.uint64)
+    mixed = mix16(fps)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix16(fp) for fp in range(1 << 16)]

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsketch import lss
 from flowsketch.baselines import DenseMapping, autoencoder_oracle
 from flowsketch.clustering import ClusterModel, InvalidInputError, allocate_buckets
-from flowsketch.hashing import key_digest
+from flowsketch.hashing import key_digest, key_digests
 from flowsketch.lss import BucketUnderflowError, KeyNotFoundError, LssSketch, sketch_bytes
-from flowsketch.membership import CuckooTable
+from flowsketch.membership import CuckooTable, TableFullError
 from flowsketch.traces import generate_packets
 
 
@@ -329,7 +330,7 @@ class TestSingleLookup:
         assert reference
         assert sketch.estimates(keys) == reference
         assert list(sketch.estimates(keys)) == list(reference)
-        assert sketch.exact_estimates(keys) == {k: sketch.query_exact(k) for k in reference}
+        assert list(sketch.buckets(key_digests(keys, 29))) == [sketch._bucket(k) for k in keys]
         assert {k for k in keys if sketch.contains(k)} == set(reference)
 
     def test_query_equals_exact_fraction(self):
@@ -348,6 +349,93 @@ class TestSingleLookup:
         with pytest.raises(KeyNotFoundError):
             sketch.query_exact(foreign)
         assert sketch.estimates([held, foreign]) == {held: 5.0}
+
+
+# small values land in every cluster; large ones saturate 16-bit counters
+BATCH_VALUES = st.one_of(st.integers(0, 60), st.integers(60_000, 200_000))
+
+
+def assert_batch_matches_scalar(sketch, keys):
+    """buckets/estimates over keys equal _bucket/query key by key."""
+    found = sketch.buckets(key_digests(keys, sketch.hash_seed))
+    assert list(found) == [sketch._bucket(k) for k in keys]
+    reference = {}
+    for k in keys:
+        try:
+            reference[k] = sketch.query(k)
+        except KeyNotFoundError:
+            pass
+    estimates = sketch.estimates(keys)
+    assert estimates == reference
+    assert list(estimates) == list(reference)
+
+
+class TestBatchRead:
+    """The batch read (key_digests + buckets) answers exactly as the
+    scalar _bucket path, on open and decoded sketches."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fragments=st.lists(st.tuples(st.integers(0, 24), BATCH_VALUES), max_size=80),
+           twice=st.lists(st.tuples(st.integers(0, 24), BATCH_VALUES), max_size=4),
+           absent=st.integers(0, 30), width=st.sampled_from([16, 32, 64]),
+           hash_seed=st.integers(0, 2**32), m=st.integers(5, 40))
+    def test_matches_scalar_reads(self, fragments, twice, absent, width, hash_seed, m):
+        sketch = LssSketch(uniform_model(5), m, hash_seed=hash_seed, counter_width=width,
+                           expected_flows=32)
+        for i, value in fragments:
+            try:
+                sketch.insert_duplicate(f"h{i}".encode(), value)
+            except BucketUnderflowError:
+                pass
+        for i, value in twice:  # a second membership entry under a held fingerprint
+            try:
+                sketch.insert(f"h{i}".encode(), value)
+            except TableFullError:  # both candidate buckets hold the fingerprint already
+                pass
+        keys = [f"h{i}".encode() for i, _ in fragments + twice]  # repeats included
+        keys += [f"absent{i}".encode() for i in range(absent)]
+        assert_batch_matches_scalar(sketch, keys)
+        decoded = LssSketch.from_bytes(sketch.to_bytes())
+        assert_batch_matches_scalar(decoded, keys)
+
+    def test_saturated_width16_decode(self):
+        sketch = LssSketch(uniform_model(2), 2, hash_seed=4, counter_width=16)
+        keys = [f"s{i}".encode() for i in range(6)]
+        for key in keys:
+            sketch.insert(key, 50_000)
+        decoded = LssSketch.from_bytes(sketch.to_bytes())
+        assert decoded.saturated
+        assert max(v for v, _ in filter(None, decoded.buckets(key_digests(keys, 4)))) == 65535
+        assert_batch_matches_scalar(decoded, keys + [b"gone"])
+
+    @pytest.mark.parametrize("decode", [False, True], ids=["open", "decoded"])
+    def test_foreign_fingerprint_on_empty_bucket(self, decode):
+        sketch, held, foreign = foreign_fingerprint_sketch()
+        if decode:
+            sketch = LssSketch.from_bytes(sketch.to_bytes())
+        assert sketch.membership.lookup(foreign) is not None
+        assert list(sketch.buckets(key_digests([held, foreign], 13))) == [(5, 1), None]
+        assert_batch_matches_scalar(sketch, [foreign, held, foreign])
+
+    def test_insert_twice_reads_the_first_entry(self):
+        sketch = LssSketch(two_center_model(), 4, hash_seed=8)
+        sketch.insert(b"k", 5)
+        sketch.insert(b"k", 100)
+        assert sketch.membership.occupied == 2
+        assert list(sketch.buckets(key_digests([b"k"], 8))) == [sketch._bucket(b"k")]
+        assert_batch_matches_scalar(LssSketch.from_bytes(sketch.to_bytes()), [b"k"])
+
+    def test_any_batch_size(self, monkeypatch):
+        sketch, keys = TestSingleLookup().build()
+        for batch in (1, 7, 299, 300):
+            monkeypatch.setattr(lss, "BATCH", batch)
+            assert_batch_matches_scalar(sketch, keys)
+            assert_batch_matches_scalar(LssSketch.from_bytes(sketch.to_bytes()), keys)
+
+    def test_empty_key_list(self):
+        sketch, _ = TestSingleLookup().build()
+        assert list(sketch.buckets(key_digests([], 29))) == []
+        assert sketch.estimates([]) == {}
 
 
 class TestStatisticalProperties:

@@ -6,7 +6,7 @@ from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from flowsketch.hashing import key_digest, mix16
+from flowsketch.hashing import key_digest, key_digests, mix16
 from flowsketch.membership import (
     SLOT_BYTES_OPEN,
     SLOT_BYTES_SQUEEZED,
@@ -151,6 +151,45 @@ class TestSlots:
         assert table.lookup(b"k") == (1, 10)
 
 
+class TestBatchProbe:
+    """_lookup_fps finds the slot _lookup_fp finds, for every key."""
+
+    def scalar(self, table, fps, idx_hs):
+        return [-1 if hit is None else hit[0]
+                for hit in (table._lookup_fp(fp, ih) for fp, ih in zip(fps.tolist(),
+                                                                        idx_hs.tolist()))]
+
+    def test_first_match_in_i1_then_i2(self):
+        table = CuckooTable(num_buckets=16, seed=3)
+        keys = [f"p{i}".encode() for i in range(40)]
+        _, fps, idx_hs = key_digests(keys, 3)
+        i1 = int(idx_hs[0]) & 15
+        i2 = (i1 ^ mix16(int(fps[0]))) & 15
+        assert i1 != i2
+        fp = int(fps[0])
+        # fp twice in i1 behind other entries, and once in i2 ahead of them
+        for slot, cluster in ((i2 * 4, 7), (i1 * 4 + 1, 5), (i1 * 4 + 3, 6)):
+            table._fps[slot] = fp
+            table._cis[slot] = cluster
+        table._fps[i1 * 4] = fp ^ 1
+        got = table._lookup_fps(fps, idx_hs)
+        assert got[0] == 5
+        assert got.tolist() == self.scalar(table, fps, idx_hs)
+        table._fps[i1 * 4 + 1] = table._fps[i1 * 4 + 3] = 0  # only i2 holds it now
+        assert table._lookup_fps(fps[:1], idx_hs[:1]).tolist() == [7]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_lookup(self, seed):
+        table = CuckooTable(capacity=60, seed=seed)
+        for i in range(57):
+            table.insert(f"k{i}".encode(), i % 9, i)
+        _, fps, idx_hs = key_digests([f"k{i}".encode() for i in range(120)], seed)
+        expected = self.scalar(table, fps, idx_hs)
+        assert table._lookup_fps(fps, idx_hs).tolist() == expected
+        back = CuckooTable.from_bytes(table.to_bytes())
+        assert back._lookup_fps(fps, idx_hs).tolist() == expected
+
+
 class TestSqueeze:
     def test_squeeze_empty(self):
         table = CuckooTable(capacity=64, seed=5).squeeze()
@@ -292,6 +331,26 @@ class TestSerialization:
         data[5] = 0
         with pytest.raises(ValueError, match="squeezed byte 0 at offset 5"):
             CuckooTable.from_bytes(bytes(data))
+
+    def test_non_power_of_two_buckets_rejected(self):
+        head = CuckooTable._HEADER.pack(CuckooTable._MAGIC, 1, 1, 500, 3, 8)
+        with pytest.raises(ValueError, match="power of two, got 3"):
+            CuckooTable.from_bytes(head + bytes(3 * 3 * 4))
+
+    def test_decoded_table_has_a_squeezed_tables_fields(self):
+        # from_bytes sets the fields itself; a random stream is the one
+        # thing a read-only table does without
+        table = CuckooTable(capacity=100, max_kicks=77, seed=8)
+        for i in range(50):
+            table.insert(f"k{i}".encode(), i % 7, i * 11)
+        back = CuckooTable.from_bytes(table.to_bytes())
+        squeezed = table.squeeze()
+        assert set(vars(back)) == set(vars(squeezed))
+        for name, value in vars(squeezed).items():
+            if name != "_rng":
+                assert getattr(back, name) == value, name
+        with pytest.raises(RuntimeError, match="squeezed"):
+            back.insert(b"new", 1)
 
     def test_zero_buckets_rejected(self):
         head = CuckooTable._HEADER.pack(CuckooTable._MAGIC, 1, 1, 500, 0, 8)

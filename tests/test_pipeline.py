@@ -3,14 +3,21 @@ import json
 import logging
 import math
 import struct
+import tempfile
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowsketch import lss, pipeline
 from flowsketch.clustering import ClusterModel, InvalidInputError, train_model
 from flowsketch.hashing import key_digest
 from flowsketch.lss import LssSketch
+from flowsketch.metrics import entropy_of_values
 from flowsketch.pipeline import (
     QUERY_TASKS,
     FlowRecord,
@@ -473,6 +480,53 @@ class TestForeignFingerprint:
         network_wide_query(store, 0, 10_000, "heavy-changes",
                            {"keys": [held, foreign], "threshold": 20})
         assert len(decoded) == 2
+
+
+class TestBatchQueries:
+    """Per-flow tasks read every window through the batch path."""
+
+    def test_keys_digested_once_per_query_and_seed(self, tmp_path, monkeypatch):
+        model = small_model(2, step=10)
+        keys = [f"q{i}".encode() for i in range(20)]
+        sketches = []
+        for seed in (5, 5, 6, 5):
+            sketch = LssSketch(model, 8, hash_seed=seed)
+            for i, key in enumerate(keys[seed:]):
+                sketch.insert(key, i)
+            sketches.append(sketch)
+        store = store_windows(tmp_path, sketches)
+        calls = []
+        real = pipeline.key_digests
+
+        def counting(batch, seed):
+            calls.append((list(batch), seed))
+            return real(batch, seed)
+
+        def no_scalar_digest(*args):
+            raise AssertionError("a per-key digest on the batch path")
+
+        monkeypatch.setattr(pipeline, "key_digests", counting)
+        monkeypatch.setattr(lss, "key_digest", no_scalar_digest)
+        for task in ("flow-size", "entropy", "heavy-hitters", "heavy-changes"):
+            calls.clear()
+            network_wide_query(store, *ALL_TIME, task, {"keys": keys + keys, "threshold": 3})
+            assert calls == [(keys, 5), (keys, 6)], task
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
+           m=st.integers(3, 12))
+    def test_entropy_equals_fraction_entropy(self, values, m):
+        # few buckets, so most estimates are averages of several flows
+        sketch = LssSketch(small_model(3, step=3000), m, hash_seed=7, expected_flows=64)
+        keys = [f"e{i}".encode() for i in range(len(values))]
+        for key, value in zip(keys, values):
+            sketch.insert(key, value)
+        keys.append(b"never-inserted")
+        exact = [Fraction(*b) for b in map(sketch._bucket, keys) if b is not None]
+        with tempfile.TemporaryDirectory() as tmp:
+            store = store_windows(Path(tmp), [sketch])
+            got = network_wide_query(store, *ALL_TIME, "entropy", {"keys": keys})
+        assert got["per_window"] == {"src-a/0": entropy_of_values(exact)}
 
 
 class TestEndToEnd:
