@@ -20,10 +20,9 @@ from .clustering import (
 )
 from .lss import BucketUnderflowError, KeyNotFoundError, LssSketch
 from .membership import CuckooTable, TableFullError
-from .metrics import GroundTruth, f1_score, relative_error
+from .metrics import f1_score, relative_error
 from .pipeline import (
     FlowletBatch,
-    FlowRecord,
     IngestStage,
     SketchEnvelope,
     SketchingStage,
@@ -45,9 +44,7 @@ __all__ = [
     "CsSketch",
     "CuckooTable",
     "DenseMapping",
-    "FlowRecord",
     "FlowletBatch",
-    "GroundTruth",
     "IngestStage",
     "InvalidInputError",
     "KeyNotFoundError",

@@ -25,7 +25,7 @@ from .clustering import ClusterModel, InvalidInputError, train_model
 from .hashing import key_digests
 from .lss import BucketUnderflowError, LssSketch, sketch_bytes
 from .membership import CuckooTable
-from .metrics import GroundTruth, entropy_of_values, f1_score, precision_recall, relative_error
+from .metrics import entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
 
 DEFAULT_WINDOW = 10_000
@@ -68,20 +68,19 @@ class BenchmarkConfig:
                 raise InvalidInputError(f"unknown sketch kind {s!r}")
 
 
-def load_records(config: BenchmarkConfig):
-    """Flow records (key, value) in packet order, plus exact totals."""
+def load_records(config: BenchmarkConfig) -> tuple[list, dict[bytes, int]]:
+    """Flow records (key, value) in packet order, plus each flow's exact
+    total: in first-seen order for a trace file, in generation order for
+    a generated trace."""
     if config.trace_path:
-        truth = GroundTruth()
-        records = []
+        records, totals = [], {}
         for pkt in read_trace(config.trace_path):
             records.append((pkt.key, pkt.size_bytes))
-            truth.add(pkt.key, pkt.size_bytes)
-        return records, truth
+            totals[pkt.key] = totals.get(pkt.key, 0) + pkt.size_bytes
+        return records, totals
     packets, totals = generate_packets(config.seed, config.window, ZIPF_S, MEAN_PACKETS,
                                        v_max=ZIPF_VMAX)
-    truth = GroundTruth()
-    truth.totals = dict(totals)
-    return [(p.key, p.size_bytes) for p in packets], truth
+    return [(p.key, p.size_bytes) for p in packets], totals
 
 
 def training_samples(records, limit: int) -> list[int]:
@@ -113,17 +112,17 @@ def fit_model(config: BenchmarkConfig, samples, ratio: float) -> tuple[ClusterMo
     return model.with_allocation(m, policy=config.allocation_policy), m, k
 
 
-def _evaluate(name: str, estimates: list, truth: GroundTruth, memory_bytes: int,
+def _evaluate(name: str, estimates: list, totals: dict[bytes, int], memory_bytes: int,
               hh_threshold: float, extra: dict | None = None) -> dict:
-    """Score one sketch's estimates, given in truth.keys() order."""
-    keys = truth.keys()
+    """Score one sketch's estimates, given in the order of totals' keys.
+    A true heavy hitter's total exceeds hh_threshold."""
     # a 0-byte flow has no relative error; it still counts below
-    rel = np.fromiter((relative_error(truth.total(k), est) for k, est in zip(keys, estimates)
-                       if truth.total(k) > 0), dtype=np.float64)
-    true_hh = truth.heavy_hitters(hh_threshold)
-    pred_hh = {k for k, e in zip(keys, estimates) if e > hh_threshold}
+    rel = np.fromiter((relative_error(total, est) for total, est in zip(totals.values(), estimates)
+                       if total > 0), dtype=np.float64)
+    true_hh = {k for k, total in totals.items() if total > hh_threshold}
+    pred_hh = {k for k, e in zip(totals, estimates) if e > hh_threshold}
     precision, recall = precision_recall(true_hh, pred_hh)
-    true_entropy = truth.entropy()
+    true_entropy = entropy_of_values(totals.values())
     est_entropy = entropy_of_values(estimates)
     # a window whose flows all have one size has entropy 0, where the
     # relative error is undefined: its figure is the absolute error
@@ -192,42 +191,42 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
     {sketch: row} per fit. A window without a flow of positive total
     has no flow-size error to score and raises InvalidInputError.
 
-    The window's exact totals, and its keys' hashes, are built once
-    here and shared by every ratio, so at most one window's hashes are
-    held at a time. The clustered sketch replays the records, since its
+    The window's exact totals (in first-seen order), and its keys'
+    hashes, are built once here and shared by every ratio, so at most
+    one window's hashes are held at a time. The clustered sketch replays the records, since its
     incremental path (migrations, merged-flow events) is part of what
     is scored, and is read back in one batch; Count-Min and
     Count-Sketch are linear, so inserting each flow's total leaves the
     same counters as replaying its fragments."""
-    truth = GroundTruth()
+    totals: dict[bytes, int] = {}
     for key, value in window_records:
-        truth.add(key, value)
-    if not any(total > 0 for total in truth.totals.values()):
+        totals[key] = totals.get(key, 0) + value
+    if not any(total > 0 for total in totals.values()):
         raise InvalidInputError(f"window {index} has no flow with a positive total: "
                                 "its flow-size relative error is undefined")
-    hashes = _window_hashes(config, truth)
-    return [_score_fit(config, fit, window_records, truth, hashes, hh_threshold)
+    hashes = _window_hashes(config, totals)
+    return [_score_fit(config, fit, window_records, totals, hashes, hh_threshold)
             for fit in fits]
 
 
-def _window_hashes(config: BenchmarkConfig, truth: GroundTruth) -> tuple:
+def _window_hashes(config: BenchmarkConfig, totals: dict[bytes, int]) -> tuple:
     """(bank hashes by key, or None without a baseline; key_digests of
-    truth.keys(), or None without the clustered sketch)."""
+    totals' keys, or None without the clustered sketch)."""
     banks = digests = None
     if "cm" in config.sketches or "cs" in config.sketches:
-        banks = {key: bank_hashes(key, config.seed, BANKS) for key in truth.totals}
+        banks = {key: bank_hashes(key, config.seed, BANKS) for key in totals}
     if "lss" in config.sketches:
-        digests = key_digests(truth.keys(), config.seed)
+        digests = key_digests(totals, config.seed)
     return banks, digests
 
 
-def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
+def _score_fit(config: BenchmarkConfig, fit, window_records, totals: dict[bytes, int],
                hashes: tuple, hh_threshold: float) -> dict:
     """Fill and score every configured sketch at one fit, one sketch at
     a time, in SKETCH_KINDS order, reading with _window_hashes' hashes."""
     banks, digests = hashes
     model, m, k = fit
-    n_flows = truth.cardinality()
+    n_flows = len(totals)
     # every structure additionally needs key tracking to answer the
     # query tasks, so all of them carry the squeezed membership table
     # of a window-sized clustered sketch, whether or not that sketch is
@@ -255,11 +254,11 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, truth: GroundTruth,
         else:
             kind = CmSketch if name == "cm" else CsSketch
             sketch = kind(BANKS * per_bank, c=BANKS, seed=config.seed)
-            estimates = _fill_hashed(sketch, truth, banks)
+            estimates = _fill_hashed(sketch, totals, banks)
             own_bytes = sketch.memory_bytes(config.counter_width)
             extra = {}
         extra.update(sketch_bytes=own_bytes, membership_bytes=membership_bytes)
-        rows[name] = _evaluate(name, estimates, truth, own_bytes + membership_bytes,
+        rows[name] = _evaluate(name, estimates, totals, own_bytes + membership_bytes,
                                hh_threshold, extra)
     return rows
 
@@ -270,12 +269,12 @@ def _lss_estimates(sketch: LssSketch, digests) -> list[float]:
     return [0.0 if b is None else b[0] / b[1] for b in sketch.buckets(digests)]
 
 
-def _fill_hashed(sketch, truth: GroundTruth, hashes: dict):
+def _fill_hashed(sketch, totals: dict[bytes, int], hashes: dict):
     """Insert every flow's exact total under its precomputed bank
-    hashes; returns the estimates in truth.keys() order."""
-    for key, total in truth.totals.items():
+    hashes; returns the estimates in the order of totals' keys."""
+    for key, total in totals.items():
         sketch.insert_hashed(hashes[key], total)
-    return [sketch.query_hashed(hashes[key]) for key in truth.totals]
+    return [sketch.query_hashed(hashes[key]) for key in totals]
 
 
 _MERGE_MEAN = ("entropy_re", "cardinality_error")
@@ -310,7 +309,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     against exact ground truth. A key the clustered sketch cannot
     answer scores as an estimate of 0."""
     t_start = time.perf_counter()
-    records, truth = load_records(config)
+    records, totals = load_records(config)
     samples = training_samples(records, config.train_samples)
     hh_threshold = float(np.percentile(np.asarray(samples, dtype=np.float64),
                                        config.hh_percentile))
@@ -326,7 +325,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     return {
         "config": {**asdict(config), "zipf_s": ZIPF_S, "zipf_vmax": ZIPF_VMAX,
                    "mean_packets": MEAN_PACKETS, "banks": BANKS},
-        "n_flows": truth.cardinality(),
+        "n_flows": len(totals),
         "hh_threshold": hh_threshold,
         "rows": rows,
         "timing": {"trace_records": len(records),
@@ -334,10 +333,10 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     }
 
 
-def report_json(report: dict, include_timing: bool = False) -> str:
-    """Canonical JSON: sorted keys, no timing section unless asked for
+def report_json(report: dict) -> str:
+    """Canonical JSON: sorted keys, without the timing section
     (wall-clock numbers would break run-to-run byte identity)."""
-    doc = {k: v for k, v in report.items() if include_timing or k != "timing"}
+    doc = {k: v for k, v in report.items() if k != "timing"}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -354,7 +353,7 @@ def report_table(report: dict) -> str:
             f"{row['flow_size']['p90_re']:.4g}",
             f"{row['entropy_re']:.4g}",
             f"{row['heavy_hitters']['f1']:.4f}",
-            f"{row.get('cardinality_error', float('nan')):.4g}" if "cardinality_error" in row else "-",
+            f"{row['cardinality_error']:.4g}" if "cardinality_error" in row else "-",
         ])
     widths = [max(len(h), *(len(l[i]) for l in lines)) if lines else len(h)
               for i, h in enumerate(headers)]
@@ -414,8 +413,8 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
     lss_only = replace(config, sketches=("lss",))
     series = []
     for epoch in epochs:
-        records, truth = _epoch_records(config, epoch)
-        row = _score_fit(lss_only, fit, records, truth, _window_hashes(lss_only, truth),
+        records, totals = _epoch_records(config, epoch)
+        row = _score_fit(lss_only, fit, records, totals, _window_hashes(lss_only, totals),
                          hh_threshold)["lss"]
         series.append({"epoch": int(epoch), **_lss_summary(row)})
     return series

@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from .clustering import ClusterModel, InvalidInputError, allocate_buckets, int_value, nearest_center
-from .hashing import key_digest, key_digests
+from .hashing import key_digest
 from .membership import CuckooTable
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
@@ -231,13 +231,6 @@ class LssSketch:
             for cluster, pos in zip(clusters.tolist(), positions.tolist()):
                 count = counts[pos] if cluster >= 0 else 0
                 yield (vals[pos], count) if count else None
-
-    def estimates(self, keys) -> dict[bytes, float]:
-        """Estimates of the keys this sketch holds, in first-seen order;
-        keys that query() would reject are left out."""
-        keys = list(keys)
-        found = self.buckets(key_digests(keys, self.hash_seed))
-        return {k: b[0] / b[1] for k, b in zip(keys, found) if b is not None}
 
     def cardinality(self) -> int:
         """Exact distinct-flow count: the sum of all key_count fields."""

@@ -1,8 +1,7 @@
-"""Evaluation metrics and the exact ground-truth oracle.
+"""Evaluation metrics: relative error, precision/recall and F1, entropy.
 
-Every reported error in the benchmark derives from GroundTruth, a plain
-hash map of exact per-flow totals maintained independently of all
-sketches.
+The benchmark scores every sketch against exact per-flow totals held in
+a plain dict, maintained independently of all sketches.
 """
 
 import math
@@ -46,27 +45,3 @@ def entropy_of_values(values) -> float:
     n = len(values)
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
-
-class GroundTruth:
-    """Exact per-flow totals accumulated in a dict."""
-
-    def __init__(self):
-        self.totals: dict[bytes, int] = {}
-
-    def add(self, key: bytes, value: int) -> None:
-        self.totals[key] = self.totals.get(key, 0) + value
-
-    def keys(self) -> list[bytes]:
-        return list(self.totals.keys())
-
-    def cardinality(self) -> int:
-        return len(self.totals)
-
-    def total(self, key: bytes) -> int:
-        return self.totals[key]
-
-    def entropy(self) -> float:
-        return entropy_of_values(self.totals.values())
-
-    def heavy_hitters(self, threshold: float) -> set[bytes]:
-        return {k for k, v in self.totals.items() if v > threshold}

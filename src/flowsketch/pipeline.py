@@ -13,7 +13,7 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .bus import TopicBus
@@ -30,14 +30,8 @@ FLOWLET_RECORD_BYTES = 8  # accounting size of one key-value pair on the wire
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    key: bytes
-    value: int
-
-
-@dataclass(frozen=True)
 class FlowletBatch:
-    records: tuple[FlowRecord, ...]
+    records: tuple[tuple[bytes, int], ...]  # (flow key, byte count) pairs
     source_id: str
     sequence_number: int
     emitted_at: int
@@ -131,16 +125,14 @@ class IngestStage:
             return None
         batch = None
         if len(self._table) >= self.capacity:
-            batch = self._emit(pkt.ts_ns)
+            batch = self.flush(pkt.ts_ns)
         self._table[pkt.key] = pkt.size_bytes
         return batch
 
-    def flush(self, ts_ns: int | None = None) -> FlowletBatch:
-        """Emit whatever is accumulated (possibly an empty batch)."""
-        return self._emit(ts_ns if ts_ns is not None else time.time_ns())
-
-    def _emit(self, ts_ns: int) -> FlowletBatch:
-        records = tuple(FlowRecord(k, v) for k, v in self._table.items())
+    def flush(self, ts_ns: int) -> FlowletBatch:
+        """Emit whatever is accumulated (possibly an empty batch) as one
+        batch stamped ts_ns, its pairs in table order."""
+        records = tuple(self._table.items())
         self._table.clear()
         batch = FlowletBatch(records, self.source_id, self._sequence, ts_ns)
         self._sequence += 1
@@ -179,7 +171,7 @@ class SketchingStage:
             return (ts // self.window.capacity) * self.window.capacity
         return ts
 
-    def feed(self, record: FlowRecord, ts: int = 0) -> SketchEnvelope | None:
+    def feed(self, key: bytes, value: int, ts: int = 0) -> SketchEnvelope | None:
         """Insert one flow record; returns the closed window's envelope
         when this record completes or rolls a window."""
         envelope = None
@@ -190,7 +182,7 @@ class SketchingStage:
             self._window_start = self._window_start_of(ts)
         self._last_ts = ts
         try:
-            self._sketch.insert_duplicate(record.key, record.value)
+            self._sketch.insert_duplicate(key, value)
         except BucketUnderflowError:
             # fingerprint-merged flows stay merged; accounted, not fatal
             self.merged_flow_events += 1
@@ -199,7 +191,7 @@ class SketchingStage:
                         self.source, self._window_id)
             envelope = self._rotate()
             self._window_start = self._window_start_of(ts)
-            self._sketch.insert_duplicate(record.key, record.value)
+            self._sketch.insert_duplicate(key, value)
         if (envelope is None and self.window.mode == "sequence"
                 and self._sketch.membership.occupied >= self.window.capacity):
             envelope = self._rotate()
@@ -207,8 +199,8 @@ class SketchingStage:
 
     def feed_batch(self, batch: FlowletBatch) -> list[SketchEnvelope]:
         envelopes = []
-        for record in batch.records:
-            env = self.feed(record, ts=batch.emitted_at)
+        for key, value in batch.records:
+            env = self.feed(key, value, ts=batch.emitted_at)
             if env is not None:
                 envelopes.append(env)
         return envelopes
@@ -248,6 +240,8 @@ class SketchStore:
         self._index_path = os.path.join(root, "index.log")
 
     def put(self, envelope: SketchEnvelope) -> str:
+        """Write the envelope and index it; an unstamped envelope
+        (arrival_ts 0) is stamped with the current time first."""
         if envelope.arrival_ts == 0:
             envelope.arrival_ts = time.time_ns()
         name = f"{envelope.source}_{envelope.window_id:08d}.env"
@@ -337,12 +331,12 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
         found = sketch.buckets(digests[sketch.hash_seed])
         return [(k, b) for k, b in zip(keys, found) if b is not None]
 
-    def estimates(e: SketchEnvelope) -> dict[bytes, float]:
+    def window_estimates(e: SketchEnvelope) -> dict[bytes, float]:
         return {k: val_sum / count for k, (val_sum, count) in held(e)}
 
     if task == "flow-size":
         report["per_window"] = {f"{e.source}/{e.window_id}":
-                                {k.hex(): est for k, est in estimates(e).items()}
+                                {k.hex(): est for k, est in window_estimates(e).items()}
                                 for e in envelopes}
         return report
     if task == "entropy":
@@ -364,7 +358,7 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
             raise InvalidInputError("threshold must be non-negative")
         union: dict[str, list] = {}
         for e in envelopes:
-            hits = [(k, est) for k, est in estimates(e).items() if est > threshold]
+            hits = [(k, est) for k, est in window_estimates(e).items() if est > threshold]
             hits.sort(key=lambda ke: (-ke[1], ke[0]))
             for k, est in hits:
                 union.setdefault(k.hex(), []).append(
@@ -380,7 +374,7 @@ def network_wide_query(store: SketchStore, t0: int, t1: int, task: str,
         if len(envs) < 2:
             continue
         envs.sort(key=lambda e: e.window_id)
-        ests = [estimates(e) for e in envs]
+        ests = [window_estimates(e) for e in envs]
         for j in range(1, len(envs)):
             before, after = ests[j - 1], ests[j]
             changes[f"{source}/{envs[j - 1].window_id}->{envs[j].window_id}"] = [
@@ -443,7 +437,7 @@ def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
                 batch = stage.ingest(pkt)
                 if batch is not None:
                     bus.publish(flowlet_topic, batch)
-            final = stage.flush(ts_ns=last_ts)
+            final = stage.flush(last_ts)
             if final.records:
                 bus.publish(flowlet_topic, final)
             stats.packets = stage.packets_seen
@@ -478,7 +472,6 @@ def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
     def query_worker():
         try:
             for env in sketch_sub:
-                env.arrival_ts = time.time_ns()
                 store.put(env)
                 stats.envelopes += 1
                 stats.sketched_value += env.sketch().total_value()

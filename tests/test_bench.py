@@ -18,7 +18,6 @@ from flowsketch.bench import (
 from flowsketch.clustering import ClusterModel, InvalidInputError
 from flowsketch.hashing import key_digests
 from flowsketch.lss import KeyNotFoundError, LssSketch
-from flowsketch.metrics import GroundTruth
 from flowsketch.traces import (
     TracePacket,
     gen_trace,
@@ -75,11 +74,11 @@ class TestTrainingSamples:
 class TestRunBenchmark:
     def test_ground_truth_independent_of_sketches(self):
         config = small_config()
-        records, truth = load_records(config)
-        totals = {}
+        records, totals = load_records(config)
+        replayed = {}
         for key, value in records:
-            totals[key] = totals.get(key, 0) + value
-        assert totals == truth.totals
+            replayed[key] = replayed.get(key, 0) + value
+        assert replayed == totals
 
     def test_lss_cardinality_exact(self):
         report = run_benchmark(small_config(sketches=("lss",)))
@@ -152,9 +151,7 @@ class TestRunBenchmark:
                 assert row[field] == full[row["sketch"]][field]
 
     def test_unanswerable_key_scores_zero(self):
-        truth = GroundTruth()
-        for key, value in ((b"a", 10), (b"lost", 20), (b"c", 40)):
-            truth.add(key, value)
+        totals = {b"a": 10, b"lost": 20, b"c": 40}
         model = ClusterModel(centers=(10.0, 40.0), entropy=(0.5, 0.5), weight=(0.5, 0.5),
                              density=(0.5, 0.5))
         sketch = LssSketch(model, 2, hash_seed=3)
@@ -162,17 +159,15 @@ class TestRunBenchmark:
         sketch.insert(b"c", 40)
         with pytest.raises(KeyNotFoundError):
             sketch.query(b"lost")
-        estimates = _lss_estimates(sketch, key_digests(truth.keys(), 3))
+        estimates = _lss_estimates(sketch, key_digests(totals, 3))
         assert estimates == [10.0, 0.0, 40.0]
-        row = _evaluate("lss", estimates, truth, 0, 15.0)
+        row = _evaluate("lss", estimates, totals, 0, 15.0)
         assert row["flow_size"]["mean_re"] == pytest.approx(1 / 3)  # errors 0, 1, 0
         assert row["heavy_hitters"]["recall"] == 0.5
 
     def test_zero_byte_flow_scores_without_relative_error(self):
-        truth = GroundTruth()
-        for key, value in ((b"a", 10), (b"empty", 0), (b"c", 40)):
-            truth.add(key, value)
-        row = _evaluate("lss", [10.0, 5.0, 40.0], truth, 0, 15.0)
+        totals = {b"a": 10, b"empty": 0, b"c": 40}
+        row = _evaluate("lss", [10.0, 5.0, 40.0], totals, 0, 15.0)
         # the 0-byte flow has no relative error but still counts as a
         # flow for entropy (three distinct sizes on both sides)
         assert row["flow_size"]["mean_re"] == 0.0
@@ -182,11 +177,16 @@ class TestRunBenchmark:
     def test_zero_entropy_window_scores_absolute_error(self):
         # every flow has one size, so the true entropy is 0 and the
         # entropy figure is the estimate's own entropy
-        truth = GroundTruth()
-        for key in (b"a", b"b", b"c", b"d"):
-            truth.add(key, 100)
-        assert _evaluate("cm", [100.0, 100.0, 50.0, 50.0], truth, 0, 100.0)["entropy_re"] == 1.0
-        assert _evaluate("lss", [100.0] * 4, truth, 0, 100.0)["entropy_re"] == 0.0
+        totals = dict.fromkeys((b"a", b"b", b"c", b"d"), 100)
+        assert _evaluate("cm", [100.0, 100.0, 50.0, 50.0], totals, 0, 100.0)["entropy_re"] == 1.0
+        assert _evaluate("lss", [100.0] * 4, totals, 0, 100.0)["entropy_re"] == 0.0
+
+    def test_total_at_threshold_is_not_a_heavy_hitter(self):
+        totals = {b"a": 7, b"b": 1}
+        hh = _evaluate("lss", [7.0, 1.0], totals, 0, 2.0)["heavy_hitters"]
+        assert (hh["true_count"], hh["f1"]) == (1, 1.0)
+        hh = _evaluate("lss", [7.0, 1.0], totals, 0, 7.0)["heavy_hitters"]
+        assert (hh["true_count"], hh["f1"]) == (0, 0.0)
 
     def test_uniform_trace_runs(self, tmp_path):
         path = str(tmp_path / "u.csv")
@@ -228,7 +228,7 @@ class TestDeterminism:
         report = run_benchmark(small_config(sketches=("lss",)))
         doc = json.loads(report_json(report))
         assert "timing" not in doc
-        assert "timing" in json.loads(report_json(report, include_timing=True))
+        assert "timing" in report
 
     def test_different_seed_changes_results(self):
         a = run_benchmark(small_config(seed=3))

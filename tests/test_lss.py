@@ -328,14 +328,19 @@ class TestSingleLookup:
             except KeyNotFoundError:
                 pass
         assert reference
-        assert sketch.estimates(keys) == reference
-        assert list(sketch.estimates(keys)) == list(reference)
-        assert list(sketch.buckets(key_digests(keys, 29))) == [sketch._bucket(k) for k in keys]
+        found = list(sketch.buckets(key_digests(keys, 29)))
+        assert found == [sketch._bucket(k) for k in keys]
+        estimates = {k: b[0] / b[1] for k, b in zip(keys, found) if b is not None}
+        assert estimates == reference
+        assert list(estimates) == list(reference)
         assert {k for k in keys if sketch.contains(k)} == set(reference)
 
     def test_query_equals_exact_fraction(self):
         sketch, keys = self.build()
-        for k, est in sketch.estimates(keys).items():
+        held = [k for k in keys if sketch.contains(k)]
+        assert held
+        for k in held:
+            est = sketch.query(k)
             assert est == float(sketch.query_exact(k))
             assert type(est) is float
 
@@ -348,7 +353,7 @@ class TestSingleLookup:
             sketch.query(foreign)
         with pytest.raises(KeyNotFoundError):
             sketch.query_exact(foreign)
-        assert sketch.estimates([held, foreign]) == {held: 5.0}
+        assert sketch.query(held) == 5.0
 
 
 # small values land in every cluster; large ones saturate 16-bit counters
@@ -356,18 +361,17 @@ BATCH_VALUES = st.one_of(st.integers(0, 60), st.integers(60_000, 200_000))
 
 
 def assert_batch_matches_scalar(sketch, keys):
-    """buckets/estimates over keys equal _bucket/query key by key."""
-    found = sketch.buckets(key_digests(keys, sketch.hash_seed))
-    assert list(found) == [sketch._bucket(k) for k in keys]
-    reference = {}
-    for k in keys:
-        try:
-            reference[k] = sketch.query(k)
-        except KeyNotFoundError:
-            pass
-    estimates = sketch.estimates(keys)
-    assert estimates == reference
-    assert list(estimates) == list(reference)
+    """buckets over keys equal _bucket key by key; a key whose bucket
+    is None is one query rejects, and any other key's bucket average
+    is query's answer and query_exact's value."""
+    found = list(sketch.buckets(key_digests(keys, sketch.hash_seed)))
+    assert found == [sketch._bucket(k) for k in keys]
+    for k, bucket in zip(keys, found):
+        if bucket is None:
+            with pytest.raises(KeyNotFoundError):
+                sketch.query(k)
+        else:
+            assert sketch.query(k) == bucket[0] / bucket[1] == float(sketch.query_exact(k))
 
 
 class TestBatchRead:
@@ -435,7 +439,6 @@ class TestBatchRead:
     def test_empty_key_list(self):
         sketch, _ = TestSingleLookup().build()
         assert list(sketch.buckets(key_digests([], 29))) == []
-        assert sketch.estimates([]) == {}
 
 
 class TestStatisticalProperties:

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from flowsketch.metrics import (
-    GroundTruth,
     UndefinedMetricError,
     entropy_of_values,
     f1_score,
@@ -57,14 +56,3 @@ class TestEntropy:
         with pytest.raises(UndefinedMetricError):
             entropy_of_values([])
 
-
-class TestGroundTruth:
-    def test_accumulates(self):
-        gt = GroundTruth()
-        gt.add(b"a", 3)
-        gt.add(b"a", 4)
-        gt.add(b"b", 1)
-        assert gt.total(b"a") == 7
-        assert gt.cardinality() == 2
-        assert gt.heavy_hitters(2) == {b"a"}
-        assert gt.heavy_hitters(7) == set()

@@ -1,15 +1,16 @@
-"""Keywords the library does not take: each is a fixed value or a
-computed one, so passing it raises TypeError instead of being honoured
-by one caller only."""
+"""Keywords the library does not take, and defaults it does not
+supply: each is a fixed value, a computed one or one every caller
+passes, so a call that relies on it raises TypeError instead of being
+honoured by one caller only."""
 
 import pytest
 
 from flowsketch.baselines import noisy_fraction_monte_carlo
-from flowsketch.bench import BenchmarkConfig
+from flowsketch.bench import BenchmarkConfig, report_json
 from flowsketch.bus import TopicBus
 from flowsketch.clustering import ClusterModel, train_kmeans, train_model
 from flowsketch.lss import LssSketch
-from flowsketch.pipeline import SketchingStage, SketchStore, WindowConfig, run_pipeline
+from flowsketch.pipeline import IngestStage, SketchingStage, SketchStore, WindowConfig, run_pipeline
 
 MODEL = ClusterModel(centers=(8.0, 16.0), entropy=(0.5, 0.5), weight=(1 / 3, 2 / 3),
                      density=(0.5, 0.5))
@@ -34,6 +35,8 @@ REMOVED = {
     "BenchmarkConfig(zipf_vmax=)": lambda _: BenchmarkConfig(zipf_vmax=16),
     "BenchmarkConfig(mean_packets=)": lambda _: BenchmarkConfig(mean_packets=2.0),
     "BenchmarkConfig(banks=)": lambda _: BenchmarkConfig(banks=4),
+    "IngestStage.flush() without ts_ns": lambda _: IngestStage().flush(),
+    "report_json(include_timing=)": lambda _: report_json({}, include_timing=True),
 }
 
 

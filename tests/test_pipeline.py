@@ -5,6 +5,7 @@ import math
 import struct
 import tempfile
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from flowsketch.lss import LssSketch
 from flowsketch.metrics import entropy_of_values
 from flowsketch.pipeline import (
     QUERY_TASKS,
-    FlowRecord,
     IngestStage,
     SketchEnvelope,
     SketchStore,
@@ -103,9 +103,19 @@ class TestIngestStage:
             stage.ingest(p)
         batch = stage.ingest(pkt(b"C", 7, 4))
         assert batch is not None
-        assert {(r.key, r.value) for r in batch.records} == {(b"A", 20), (b"B", 5)}
+        assert set(batch.records) == {(b"A", 20), (b"B", 5)}
         assert stage._table == {b"C": 7}
         assert batch.sequence_number == 0
+
+    def test_batch_records_are_the_table_pairs_in_order(self):
+        stage = IngestStage(capacity=3)
+        for p in (pkt(b"C", 1, 1), pkt(b"A", 2, 2), pkt(b"C", 4, 3), pkt(b"B", 8, 4)):
+            stage.ingest(p)
+        table = tuple(stage._table.items())
+        batch = stage.ingest(pkt(b"D", 16, 5))
+        assert batch.records == table == ((b"C", 5), (b"A", 2), (b"B", 8))
+        assert batch.emitted_at == 5
+        assert stage.flush(6).records == ((b"D", 16),)
 
     def test_single_flow_never_emits(self):
         stage = IngestStage(capacity=4)
@@ -125,7 +135,7 @@ class TestIngestStage:
         stage.ingest(pkt(b"A", 3, 1))
         stage.ingest(pkt(b"A", 4, 2))
         first = stage.flush(ts_ns=5)
-        assert {(r.key, r.value) for r in first.records} == {(b"A", 7)}
+        assert first.records == ((b"A", 7),)
         second = stage.flush(ts_ns=6)
         assert second.records == ()
         assert second.sequence_number == first.sequence_number + 1
@@ -143,16 +153,16 @@ class TestIngestStage:
         seqs = [b.sequence_number for b in batches]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         for b in batches:
-            keys = [r.key for r in b.records]
+            keys = [k for k, _ in b.records]
             assert len(keys) == len(set(keys))
 
 
 class TestSketchingStage:
     def test_sequence_window_emits_at_capacity(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 3))
-        assert stage.feed(FlowRecord(b"a", 5), ts=1) is None
-        assert stage.feed(FlowRecord(b"b", 6), ts=2) is None
-        env = stage.feed(FlowRecord(b"c", 7), ts=3)
+        assert stage.feed(b"a", 5, ts=1) is None
+        assert stage.feed(b"b", 6, ts=2) is None
+        env = stage.feed(b"c", 7, ts=3)
         assert env is not None
         sketch = env.sketch()
         assert sketch.cardinality() == 3
@@ -162,7 +172,7 @@ class TestSketchingStage:
     def test_fragmented_flow_counts_once(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 3))
         for i in range(10):
-            assert stage.feed(FlowRecord(b"same", 1), ts=i) is None
+            assert stage.feed(b"same", 1, ts=i) is None
         env = stage.flush()
         assert env.sketch().cardinality() == 1
         assert env.sketch().total_value() == 10
@@ -171,8 +181,8 @@ class TestSketchingStage:
         second = 1_000_000_000
         stage = SketchingStage(small_model(), 8, WindowConfig("time", second))
         for i, ts in enumerate(range(100_000_000, 1_000_000_000, 100_000_000)):
-            assert stage.feed(FlowRecord(f"k{i}".encode(), 4), ts=ts) is None
-        env = stage.feed(FlowRecord(b"late", 4), ts=1_200_000_000)
+            assert stage.feed(f"k{i}".encode(), 4, ts=ts) is None
+        env = stage.feed(b"late", 4, ts=1_200_000_000)
         assert env is not None
         assert env.window_start == 0
         assert env.window_end == second
@@ -182,15 +192,15 @@ class TestSketchingStage:
 
     def test_envelope_membership_squeezed(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 2))
-        stage.feed(FlowRecord(b"a", 5), ts=1)   # cluster 0
-        env = stage.feed(FlowRecord(b"b", 26), ts=2)  # different cluster
+        stage.feed(b"a", 5, ts=1)   # cluster 0
+        env = stage.feed(b"b", 26, ts=2)  # different cluster
         sketch = env.sketch()
         assert sketch.membership.squeezed
         assert sketch.query(b"a") == 5.0
 
     def test_window_ids_increment(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
-        ids = [stage.feed(FlowRecord(f"k{i}".encode(), 2), ts=i).window_id
+        ids = [stage.feed(f"k{i}".encode(), 2, ts=i).window_id
                for i in range(4)]
         assert ids == [0, 1, 2, 3]
 
@@ -199,8 +209,8 @@ class TestEnvelope:
     def test_round_trip(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 2),
                                source="src-7")
-        stage.feed(FlowRecord(b"a", 5), ts=10)
-        env = stage.feed(FlowRecord(b"b", 26), ts=11)
+        stage.feed(b"a", 5, ts=10)
+        env = stage.feed(b"b", 26, ts=11)
         env.arrival_ts = 12345
         back = SketchEnvelope.from_bytes(env.to_bytes())
         assert back.source == "src-7"
@@ -214,7 +224,7 @@ class TestEnvelope:
 
     def test_trailing_bytes_rejected(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
-        env = stage.feed(FlowRecord(b"a", 5), ts=1)
+        env = stage.feed(b"a", 5, ts=1)
         with pytest.raises(ValueError, match="trailing"):
             SketchEnvelope.from_bytes(env.to_bytes() + b"xx")
 
@@ -225,7 +235,7 @@ class TestSketchStore:
                                source=source)
         envs = []
         for i in range(count):
-            env = stage.feed(FlowRecord(f"k{i}".encode(), 9), ts=i)
+            env = stage.feed(f"k{i}".encode(), 9, ts=i)
             env.arrival_ts = (i + 1) * 100
             store.put(env)
             envs.append(env)
@@ -237,6 +247,19 @@ class TestSketchStore:
         assert len(store.range(0, 10_000)) == 3
         assert [e.arrival_ts for e in store.range(150, 250)] == [200]
         assert store.range(5000, 6000) == []
+
+    def test_put_stamps_only_an_unstamped_envelope(self, tmp_path):
+        store = SketchStore(str(tmp_path / "store"))
+        stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
+        fresh = stage.feed(b"a", 5, ts=1)
+        assert fresh.arrival_ts == 0
+        before = time.time_ns()
+        store.put(fresh)
+        assert before <= fresh.arrival_ts <= time.time_ns()
+        stamped = stage.feed(b"b", 6, ts=2)
+        stamped.arrival_ts = 7
+        store.put(stamped)
+        assert [e.window_id for e in store.range(0, 7)] == [1]
 
     def test_range_bounds_validated(self, tmp_path):
         store = SketchStore(str(tmp_path / "store"))
@@ -284,8 +307,8 @@ class TestNetworkWideQuery:
         items = list(flows.items())
         ts = 100
         for (k1, v1), (k2, v2) in (items[:2], items[2:]):
-            stage.feed(FlowRecord(k1, v1), ts=ts)
-            env = stage.feed(FlowRecord(k2, v2), ts=ts + 1)
+            stage.feed(k1, v1, ts=ts)
+            env = stage.feed(k2, v2, ts=ts + 1)
             env.arrival_ts = ts
             store.put(env)
             ts += 100
@@ -594,7 +617,7 @@ class TestEndToEnd:
         envelopes = []
         shadow_states = []
         for i, p in enumerate(packets):
-            env = stage.feed(FlowRecord(p.key, p.size_bytes), ts=i)
+            env = stage.feed(p.key, p.size_bytes, ts=i)
             shadow.insert_duplicate(p.key, p.size_bytes)
             if env is not None:
                 envelopes.append(env)
