@@ -102,14 +102,14 @@ def clamp_clusters(k: int, m: int, samples) -> int:
     return max(1, min(k, m, distinct))
 
 
-def fit_model(config: BenchmarkConfig, samples, ratio: float) -> tuple[ClusterModel, int, int]:
-    """The model a run sketches with: k-means over the training samples,
-    with k clamped to the bucket budget m = ratio * window, and the
-    configured policy's allocation of m. Returns (model, m, k)."""
+def fit_model(config: BenchmarkConfig, samples, ratio: float) -> tuple[ClusterModel, int]:
+    """The model a run sketches with: exact k-means over the training
+    samples, with k clamped to the bucket budget m = ratio * window, and
+    the configured policy's allocation of m. Returns (model, m)."""
     m = max(1, int(round(ratio * config.window)))
     k = clamp_clusters(config.clusters, m, samples)
-    model = train_model(samples, k, seed=config.seed)
-    return model.with_allocation(m, policy=config.allocation_policy), m, k
+    model = train_model(samples, k)
+    return model.with_allocation(m, policy=config.allocation_policy), m
 
 
 def _evaluate(name: str, estimates: list, totals: dict[bytes, int], memory_bytes: int,
@@ -187,7 +187,7 @@ def _fill_lss(sketch: LssSketch, records) -> int:
 
 def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
                 hh_threshold: float) -> list[dict]:
-    """Score window `index` at each (model, m, k) fit; returns one
+    """Score window `index` at each (model, m) fit; returns one
     {sketch: row} per fit. A window without a flow of positive total
     has no flow-size error to score and raises InvalidInputError.
 
@@ -225,7 +225,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, totals: dict[bytes,
     """Fill and score every configured sketch at one fit, one sketch at
     a time, in SKETCH_KINDS order, reading with _window_hashes' hashes."""
     banks, digests = hashes
-    model, m, k = fit
+    model, m = fit
     n_flows = len(totals)
     # every structure additionally needs key tracking to answer the
     # query tasks, so all of them carry the squeezed membership table
@@ -234,7 +234,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, totals: dict[bytes,
     # the clustered sketch's bucket arrays plus centers, and totals
     # including membership agree to within one bucket
     membership_bytes = CuckooTable(capacity=config.window).squeeze().memory_bytes()
-    sketch_budget = sketch_bytes(m, k, config.counter_width)
+    sketch_budget = sketch_bytes(m, model.k, config.counter_width)
     per_bank = max(1, round(sketch_budget / (BANKS * (config.counter_width // 8))))
     rows = {}
     for name in SKETCH_KINDS:
@@ -317,10 +317,10 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
     per_window = [_run_window(config, fits, i, w, hh_threshold)
                   for i, w in enumerate(split_windows(records, config.window))]
     rows = []
-    for i, (ratio, (_, m, k)) in enumerate(zip(config.ratios, fits)):
+    for i, (ratio, (model, m)) in enumerate(zip(config.ratios, fits)):
         for name in per_window[0][i]:
             merged = _merge_window_rows([rows_w[i][name] for rows_w in per_window])
-            merged.update(ratio=ratio, m=m, clusters=k)
+            merged.update(ratio=ratio, m=m, clusters=model.k)
             rows.append(merged)
     return {
         "config": {**asdict(config), "zipf_s": ZIPF_S, "zipf_vmax": ZIPF_VMAX,

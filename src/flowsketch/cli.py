@@ -14,7 +14,8 @@ from .traces import gen_trace, gen_uniform_trace, read_trace
 
 
 def _add_model_options(p: argparse.ArgumentParser, ratio: bool = True) -> None:
-    """Options of the subcommands that fit a cluster model to a trace."""
+    """Options of the subcommands that fit a cluster model to a trace.
+    The fit draws no random numbers, so it takes no seed."""
     p.add_argument("--window", type=int, default=bench.DEFAULT_WINDOW,
                    help="flows per sliding window")
     if ratio:
@@ -22,7 +23,6 @@ def _add_model_options(p: argparse.ArgumentParser, ratio: bool = True) -> None:
                        help="buckets per flow (m/N)")
     p.add_argument("--clusters", type=int, default=bench.DEFAULT_CLUSTERS)
     p.add_argument("--train-samples", type=int, default=bench.DEFAULT_TRAIN_SAMPLES)
-    p.add_argument("--seed", type=int, default=1)
 
 
 # gen options that shape one kind of trace: dest -> (default, type)
@@ -63,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--check", action="store_true",
                    help="exit nonzero unless the clustered sketch beats the baselines")
     _add_model_options(b, ratio=False)
+    b.add_argument("--seed", type=int, default=1, help="trace and hash seed")
     b.add_argument("--hh-percentile", type=float, default=bench.DEFAULT_HH_PERCENTILE)
     b.add_argument("--counter-width", type=int, default=32, choices=(16, 32, 64),
                    help="bits per counter in the memory accounting")
@@ -71,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("axis", choices=list(bench.SENSITIVITY_AXES))
     s.add_argument("--out")
     _add_model_options(s)
+    s.add_argument("--seed", type=int, default=1, help="trace and hash seed")
     s.add_argument("--hh-percentile", type=float, default=bench.DEFAULT_HH_PERCENTILE)
 
     p = sub.add_parser("pipeline", help="run ingestion -> sketching -> store")
@@ -125,12 +127,12 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     """Fit the cluster model to the first --train-samples flows of the
     trace and allocate it m = ratio * window buckets."""
-    config = BenchmarkConfig(trace_path=args.trace, seed=args.seed, ratios=(args.ratio,),
+    config = BenchmarkConfig(trace_path=args.trace, ratios=(args.ratio,),
                              clusters=args.clusters, window=args.window,
                              train_samples=args.train_samples)
     records, _ = bench.load_records(config)
     samples = bench.training_samples(records, args.train_samples)
-    model, _, _ = bench.fit_model(config, samples, args.ratio)
+    model, _ = bench.fit_model(config, samples, args.ratio)
     with open(args.out, "w") as fh:
         json.dump(model.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,7 +1,9 @@
 """Offline K-means training over flow sizes and the bucket-allocation policy.
 
-Flow sizes are one-dimensional, so the model is a sorted list of cluster
-centers plus per-cluster statistics:
+Flow sizes are one-dimensional, so the optimal k-means clusters are
+contiguous runs of the sorted sizes, and train_kmeans finds them exactly
+by dynamic programming. The model is the sorted list of their centers
+plus per-cluster statistics:
 
   entropy   uncertainty of the values inside the cluster, base-2 and
             normalized by log2(distinct count) so it lies in [0, 1]
@@ -13,18 +15,13 @@ clusters that are uncertain, populous, or sit in the heavy tail get more
 buckets.
 """
 
+import math
 import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-# k-means training: Lloyd iteration cap, relative center movement below
-# which a run stops, and independent k-means++ seedings per training
-MAX_ITERS = 100
-TOL = 1e-4
-N_INIT = 10
 
 
 class InvalidInputError(ValueError):
@@ -86,10 +83,10 @@ class ClusterModel:
     @classmethod
     def from_json(cls, doc) -> "ClusterModel":
         """The model a to_json document describes. A wrong format or
-        version, a missing field, a field of the wrong type, or an
-        entropy, weight or density list whose length is not k raises
-        InvalidInputError; allocation values are checked by the sketch
-        that lays out its buckets from them."""
+        version, a missing field, a field of the wrong type, a NaN or an
+        infinity, or an entropy, weight or density list whose length is
+        not k raises InvalidInputError; allocation values are checked by
+        the sketch that lays out its buckets from them."""
         if not isinstance(doc, dict) or doc.get("format") != "cluster-model" \
                 or doc.get("version") != 1:
             raise InvalidInputError("not a version 1 cluster-model document")
@@ -102,8 +99,8 @@ class ClusterModel:
 
 
 def _json_list(doc: dict, name: str, types) -> tuple | None:
-    """doc[name] as a tuple of numbers of the given (non-bool) types;
-    an allocation may be null."""
+    """doc[name] as a tuple of finite numbers of the given (non-bool)
+    types; an allocation may be null."""
     if name not in doc:
         raise InvalidInputError(f"model document lacks {name}")
     values = doc[name]
@@ -112,6 +109,10 @@ def _json_list(doc: dict, name: str, types) -> tuple | None:
     if not isinstance(values, list) or any(
             isinstance(v, bool) or not isinstance(v, types) for v in values):
         raise InvalidInputError(f"model {name} must be a list of numbers")
+    # json reads NaN and Infinity; an infinite center would own buckets
+    # that no flow can reach
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise InvalidInputError(f"model {name} must hold finite numbers")
     return tuple(values)
 
 
@@ -137,98 +138,83 @@ def assign_nearest(centers: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(choose_left, pos - 1, pos).astype(np.int64)
 
 
-def _kmeanspp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: first center uniform, then D^2-weighted picks."""
-    centers = np.empty(k, dtype=np.float64)
-    centers[0] = samples[rng.integers(len(samples))]
-    d2 = (samples - centers[0]) ** 2
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining mass sits on already-chosen points
-            centers[i:] = centers[i - 1]
-            break
-        probs = d2 / total
-        centers[i] = samples[rng.choice(len(samples), p=probs)]
-        d2 = np.minimum(d2, (samples - centers[i]) ** 2)
-    return centers
+def train_kmeans(samples, k: int) -> np.ndarray:
+    """The k centers of minimum k-means potential over 1-D samples.
 
-
-def _lloyd(
-    samples: np.ndarray,
-    centers: np.ndarray,
-    max_iters: int,
-    tol: float,
-) -> tuple[np.ndarray, list[float]]:
-    """Lloyd iterations from explicit initial centers.
-
-    Returns the centers and the per-iteration potential trace. The
-    potential must never increase between iterations; that is asserted
-    on every step.
-    """
-    centers = np.sort(np.asarray(centers, dtype=np.float64))
-    potentials = [kmeans_potential(samples, centers)]
-    for _ in range(max_iters):
-        idx = assign_nearest(centers, samples)
-        new_centers = centers.copy()
-        for i in range(len(centers)):
-            members = samples[idx == i]
-            if len(members):
-                new_centers[i] = members.mean()
-            else:
-                # reseed an empty cluster at the worst-served sample
-                far = np.argmax((samples - centers[idx]) ** 2)
-                new_centers[i] = samples[far]
-        new_centers = np.sort(new_centers)
-        potential = kmeans_potential(samples, new_centers)
-        assert potential <= potentials[-1] * (1 + 1e-9) + 1e-12, (
-            f"k-means potential increased: {potentials[-1]} -> {potential}"
-        )
-        movement = np.abs(new_centers - centers) / np.maximum(np.abs(centers), 1e-12)
-        centers = new_centers
-        potentials.append(potential)
-        if movement.max() < tol:
-            break
-    return centers, potentials
-
-
-def train_kmeans(samples, k: int, seed: int = 0) -> np.ndarray:
-    """Train sorted 1-D K-means centers with k-means++ seeding.
-
-    Each of N_INIT seedings runs Lloyd iterations until every center
-    moves by less than TOL of itself, or for MAX_ITERS steps; the run
-    with the lowest potential wins. Skewed flow sizes leave plenty of
-    bad local optima, so a single seeding is not reliable.
+    The optimal clusters are contiguous runs of the sorted distinct
+    values, so a DP over those values, weighted by their counts, finds
+    them exactly (Wang & Song, "Ckmeans.1d.dp", The R Journal 2011).
+    Layer c holds the least cost of covering the first j values with c
+    clusters; its best split points do not decrease with j, so each
+    layer is filled by divide and conquer in O(d log d) for d distinct
+    values, one numpy pass per recursion level.
 
     Args:
         samples: non-negative flow sizes (any iterable of reals).
         k: number of clusters; must not exceed the number of distinct
            sample values.
-        seed: RNG seed; the result is deterministic given (samples, seed).
 
     Returns:
-        Strictly ascending centers. Centers that converge onto the same
-        value are merged, so fewer than k centers can come back.
+        Exactly k strictly ascending centers, each the mean of its run.
+        The same samples always give the same centers.
     """
     samples = np.asarray(list(samples), dtype=np.float64)
     if samples.size == 0:
         raise InvalidInputError("cannot train on an empty sample set")
     if not np.all(np.isfinite(samples)) or np.any(samples < 0):
         raise InvalidInputError("samples must be finite and non-negative")
-    distinct = np.unique(samples)
-    if k < 1 or k > distinct.size:
+    distinct, counts = np.unique(samples, return_counts=True)
+    d = distinct.size
+    if k < 1 or k > d:
         raise InvalidInputError(
-            f"k={k} must be in [1, {distinct.size}] (number of distinct values)"
+            f"k={k} must be in [1, {d}] (number of distinct values)"
         )
-    rng = np.random.default_rng(seed)
-    best_centers, best_potential = None, None
-    for _ in range(N_INIT):
-        init = _kmeanspp_init(samples, k, rng)
-        centers, potentials = _lloyd(samples, init, max_iters=MAX_ITERS, tol=TOL)
-        if best_potential is None or potentials[-1] < best_potential:
-            best_centers, best_potential = centers, potentials[-1]
-    # merge duplicates produced by convergence onto shared points
-    return np.unique(best_centers)
+    # the cost of a run does not change under a shift; centring the
+    # values keeps the prefix-sum differences below from cancelling
+    x = distinct - np.average(distinct, weights=counts)
+    w, wx, wxx = (np.concatenate(([0.0], np.cumsum(v))) for v in (counts, counts * x, counts * x * x))
+
+    def cost(i, j):  # squared error of distinct values i..j-1 about their mean
+        return wxx[j] - wxx[i] - (wx[j] - wx[i]) ** 2 / (w[j] - w[i])
+
+    # layer c only needs j <= d - k + c: every later cluster needs a value
+    best = np.full(d + 1, np.inf)
+    best[1:d - k + 2] = cost(0, np.arange(1, d - k + 2))
+    splits = []
+    for c in range(2, k + 1):
+        best, split = _dp_layer(best, c, d - k + c, cost)
+        splits.append(split)
+    ends = [d]
+    for split in reversed(splits):
+        ends.append(split[ends[-1]])
+    starts = np.array([0, *ends[:0:-1]])
+    return np.add.reduceat(counts * distinct, starts) / np.add.reduceat(counts, starts)
+
+
+def _dp_layer(prev: np.ndarray, c: int, last: int, cost) -> tuple[np.ndarray, np.ndarray]:
+    """Layer c of the k-means DP: for j in [c, last], the least
+    prev[i] + cost(i, j) over i in [c - 1, j - 1], and the lowest i
+    that attains it. Each pending range of j is solved at its midpoint
+    and split there, and every range of one level is scanned at once."""
+    best = np.full(prev.size, np.inf)
+    split = np.zeros(prev.size, dtype=np.int64)
+    lo, hi = np.array([c]), np.array([last])      # ranges of j still to solve
+    ilo, ihi = np.array([c - 1]), np.array([last - 1])  # their ranges of split i
+    while lo.size:
+        mid = (lo + hi) // 2
+        lengths = np.minimum(mid - 1, ihi) - ilo + 1
+        offsets = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(mid.size), lengths)
+        i = np.arange(lengths.sum()) - offsets[owner] + ilo[owner]
+        total = prev[i] + cost(i, mid[owner])
+        least = np.minimum.reduceat(total, offsets)
+        hits = np.flatnonzero(total == least[owner])
+        arg = i[hits[np.searchsorted(hits, offsets)]]
+        best[mid], split[mid] = least, arg
+        left, right = lo < mid, mid < hi
+        lo, hi, ilo, ihi = (np.concatenate((a[left], b[right])) for a, b in
+                            ((lo, mid + 1), (mid - 1, hi), (ilo, arg), (arg, ihi)))
+    return best, split
 
 
 def cluster_stats(samples, centers) -> ClusterModel:
@@ -274,8 +260,11 @@ def cluster_stats(samples, centers) -> ClusterModel:
 
 
 def train_model(samples, k: int, seed: int = 0) -> ClusterModel:
-    """Convenience wrapper: train centers, then derive the statistics."""
-    centers = train_kmeans(samples, k, seed=seed)
+    """Convenience wrapper: train centers, then derive the statistics.
+
+    The fit is exact and draws no random numbers, so seed is ignored.
+    It is still accepted because the perfbench workloads pass it."""
+    centers = train_kmeans(samples, k)
     return cluster_stats(samples, centers)
 
 

@@ -125,15 +125,14 @@ class TestRunBenchmark:
         assert all(r["windows"] == 3 for r in report["rows"])
 
     def test_multi_window_trace_report_is_pinned(self, tmp_path):
-        # canonical JSON recorded when each ratio still replayed every
-        # record through the baselines' keyed insert and query
+        # canonical JSON recorded with the exact k-means fit
         path = tmp_path / "multi.csv"
         gen_trace(3, 2400, 1.1, 3.0, str(path))
         report = run_benchmark(small_config(trace_path=str(path), ratios=(0.01, 0.1)))
         assert [r["windows"] for r in report["rows"]] == [3] * 6
         report["config"]["trace_path"] = None
         assert hashlib.sha256(report_json(report).encode()).hexdigest() == (
-            "4ac3a9014d90958e4ec1389d02f5e105fb59fedda38873be384109a241b7eeeb")
+            "36ea60208dcade9b1ca415ef34f4c9c764ae6b9e11594f4659684288d143f3ea")
 
     def test_lss_only_run_hashes_no_bank(self, monkeypatch):
         def refuse(*args):

@@ -83,6 +83,7 @@ class TestOptions:
         ("bench", "--ratio", "0.1"),
         ("train", "t.csv", "m.json", "--counter-width", "32"),
         ("train", "t.csv", "m.json", "--hh-percentile", "90"),
+        ("train", "t.csv", "m.json", "--seed", "3"),
         ("pipeline", "t.csv", "store", "--counter-width", "32", "--model", "m.json"),
         ("pipeline", "t.csv", "store", "--hh-percentile", "90", "--model", "m.json"),
         ("pipeline", "t.csv", "store", "--ratio", "0.1", "--model", "m.json"),
@@ -114,7 +115,7 @@ class TestPipelineAndQuery:
         store = tmp_path / "store"
         model = tmp_path / "model.json"
         assert run_cli("train", trace, model, "--window", 100, "--clusters", 6,
-                       "--train-samples", 300, "--seed", 4) == 0
+                       "--train-samples", 300) == 0
         capsys.readouterr()
         assert run_cli("pipeline", trace, store, "--model", model, "--window", 100,
                        "--seed", 4) == 0
@@ -141,7 +142,7 @@ class TestPipelineModel:
         trace, model = tmp_path / "t.csv", tmp_path / "model.json"
         run_cli("gen", trace, "--seed", 6, "--flows", 1200)
         assert run_cli("train", trace, model, "--window", 400, "--clusters", 8,
-                       "--train-samples", 400, "--seed", 6) == 0
+                       "--train-samples", 400) == 0
         capsys.readouterr()
         return trace, model
 
@@ -162,7 +163,7 @@ class TestPipelineModel:
         config = BenchmarkConfig(trace_path=str(trace), seed=6, window=400, clusters=8,
                                  train_samples=400)
         records, _ = bench.load_records(config)
-        model, m, _ = bench.fit_model(config, bench.training_samples(records, 400), 0.1)
+        model, m = bench.fit_model(config, bench.training_samples(records, 400), 0.1)
         mode = "sequence" if window[0] == "--window" else "time"
         run_pipeline(read_trace(str(trace)), model, m, SketchStore(str(tmp_path / "lib")),
                      window=WindowConfig(mode, window[1]), hash_seed=6)
@@ -192,15 +193,20 @@ class TestPipelineModel:
         lambda doc: doc["entropy"].pop(),
         lambda doc: doc.update(allocation=None),
         lambda doc: doc["allocation"].__setitem__(0, 0),
-    ], ids=["missing-field", "short-entropy", "no-allocation", "zero-bucket-array"])
+        lambda doc: doc["centers"].__setitem__(-1, float("inf")),
+        lambda doc: doc["entropy"].__setitem__(0, float("nan")),
+    ], ids=["missing-field", "short-entropy", "no-allocation", "zero-bucket-array",
+            "infinite-center", "nan-entropy"])
     def test_bad_model_file_rejected(self, trained, tmp_path, capsys, edit):
         trace, model = trained
         doc = json.loads(model.read_text())
         edit(doc)
         model.write_text(json.dumps(doc))
-        assert run_cli("pipeline", trace, tmp_path / "store", "--model", model) == 2
+        store = tmp_path / "store"
+        assert run_cli("pipeline", trace, store, "--model", model) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not store.exists()
 
     def test_bad_allocation_fails_before_reading_the_trace(self, trained, tmp_path, capsys,
                                                            monkeypatch):
@@ -228,7 +234,7 @@ class TestQueryKeyOrder:
         model = tmp_path / "model.json"
         run_cli("gen", trace, "--seed", 5, "--flows", 3000)
         assert run_cli("train", trace, model, "--window", 1000,
-                       "--train-samples", 1000, "--seed", 5) == 0
+                       "--train-samples", 1000) == 0
         assert run_cli("pipeline", trace, store, "--model", model, "--window", 1000,
                        "--seed", 5) == 0
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from flowsketch.clustering import (
     ClusterModel,
     InvalidInputError,
-    _lloyd,
     allocate_buckets,
     assign_nearest,
     cluster_stats,
@@ -33,57 +33,72 @@ def make_model(centers, entropy=None, weight=None, density=None):
 
 class TestTrainKmeans:
     def test_two_tight_groups(self):
-        centers = train_kmeans([1, 1, 1, 9, 9, 9], 2, seed=0)
+        centers = train_kmeans([1, 1, 1, 9, 9, 9], 2)
         assert np.allclose(centers, [1.0, 9.0])
 
     def test_single_cluster_is_mean(self):
-        centers = train_kmeans([2, 4, 6], 1, seed=0)
+        centers = train_kmeans([2, 4, 6], 1)
         assert np.allclose(centers, [4.0])
 
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidInputError):
-            train_kmeans([], 2, seed=0)
+            train_kmeans([], 2)
 
     def test_k_exceeding_distinct_rejected(self):
         with pytest.raises(InvalidInputError):
-            train_kmeans([1, 1, 2, 2], 3, seed=0)
+            train_kmeans([1, 1, 2, 2], 3)
 
     def test_centers_sorted_and_deterministic(self):
         rng = np.random.default_rng(5)
         samples = rng.integers(0, 50, size=400)
-        a = train_kmeans(samples, 8, seed=42)
-        b = train_kmeans(samples, 8, seed=42)
+        a = train_kmeans(samples, 8)
+        b = train_kmeans(samples, 8)
         assert np.array_equal(a, b)
         assert np.all(np.diff(a) > 0)
 
-    def test_potential_close_to_multi_restart_oracle(self):
-        # oracle: best potential over 20 random-init Lloyd runs
-        rng = np.random.default_rng(123)
-        samples = zipf_values(rng, 1000, 1.1, v_max=32).astype(np.float64)
-        trained = train_kmeans(samples, 30, seed=7)
-        potential = kmeans_potential(samples, trained)
-        best = np.inf
-        oracle_rng = np.random.default_rng(99)
-        for _ in range(20):
-            init = oracle_rng.choice(np.unique(samples), size=30, replace=False)
-            centers, _ = _lloyd(samples, init, max_iters=100, tol=1e-4)
-            best = min(best, kmeans_potential(samples, centers))
-        assert potential <= 1.05 * best
+    @staticmethod
+    def weighted(value_counts):
+        return np.repeat([float(v) for v, _ in value_counts], [c for _, c in value_counts])
 
-    def test_lloyd_potential_never_increases(self):
-        rng = np.random.default_rng(11)
-        samples = rng.exponential(20, size=500)
-        init = samples[:6]
-        _, potentials = _lloyd(samples, init, max_iters=50, tol=0.0)
-        diffs = np.diff(potentials)
-        assert np.all(diffs <= 1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(1, 5)), min_size=1,
+                    max_size=10, unique_by=lambda vc: vc[0]), st.data())
+    def test_potential_is_the_best_contiguous_partition(self, value_counts, data):
+        # oracle: every split of the sorted distinct values into k runs
+        samples = self.weighted(sorted(value_counts))
+        distinct = np.unique(samples)
+        k = data.draw(st.integers(1, distinct.size))
+        best = np.inf
+        for cuts in itertools.combinations(range(1, distinct.size), k - 1):
+            runs = [samples[np.isin(samples, run)] for run in np.split(distinct, cuts)]
+            best = min(best, sum(float(np.sum((r - r.mean()) ** 2)) for r in runs))
+        potential = kmeans_potential(samples, train_kmeans(samples, k))
+        assert potential == pytest.approx(best, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 20)), min_size=1,
+                    max_size=60, unique_by=lambda vc: vc[0]), st.data())
+    def test_potential_never_above_any_sorted_centers(self, value_counts, data):
+        samples = self.weighted(value_counts)
+        k = data.draw(st.integers(1, len(value_counts)))
+        lo, hi = float(samples.min()), float(samples.max())
+        rival = np.sort(data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+        fitted = kmeans_potential(samples, train_kmeans(samples, k))
+        assert fitted <= kmeans_potential(samples, rival) * (1 + 1e-9) + 1e-9
+
+    def test_exactly_k_strictly_ascending_centers(self):
+        samples = zipf_values(np.random.default_rng(8), 2000, 1.1, v_max=32).astype(float)
+        for k in range(1, np.unique(samples).size + 1):
+            centers = train_kmeans(samples, k)
+            assert len(centers) == k
+            assert np.all(np.diff(centers) > 0)
 
     def test_retraining_on_second_epoch_is_stable(self):
         # centers transfer across epochs of the same distribution
         first = zipf_values(np.random.default_rng(100), 10_000, 1.1, v_max=32)
         second = zipf_values(np.random.default_rng(200), 10_000, 1.1, v_max=32)
-        c1 = train_kmeans(first.astype(float), 30, seed=1)
-        c2 = train_kmeans(second.astype(float), 30, seed=1)
+        c1 = train_kmeans(first.astype(float), 30)
+        c2 = train_kmeans(second.astype(float), 30)
         assert len(c1) == len(c2)
         drift = np.abs(c2 - c1) / np.maximum(np.abs(c1), 1e-12)
         assert drift.max() < 0.20
@@ -110,7 +125,7 @@ class TestClusterStats:
         # independent one-pass counting oracle
         rng = np.random.default_rng(3)
         samples = zipf_values(rng, 5000, 1.1, v_max=32).astype(np.float64)
-        centers = train_kmeans(samples, 30, seed=3)
+        centers = train_kmeans(samples, 30)
         model = cluster_stats(samples, centers)
 
         counts = {}

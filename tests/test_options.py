@@ -27,6 +27,7 @@ REMOVED = {
     "train_kmeans(max_iters=)": lambda _: train_kmeans(SAMPLES, 2, max_iters=5),
     "train_kmeans(tol=)": lambda _: train_kmeans(SAMPLES, 2, tol=0.1),
     "train_kmeans(n_init=)": lambda _: train_kmeans(SAMPLES, 2, n_init=1),
+    "train_kmeans(seed=)": lambda _: train_kmeans(SAMPLES, 2, seed=0),
     "train_model(max_iters=)": lambda _: train_model(SAMPLES, 2, max_iters=5),
     "train_model(tol=)": lambda _: train_model(SAMPLES, 2, tol=0.1),
     "noisy_fraction_monte_carlo(chunk=)":

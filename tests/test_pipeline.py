@@ -673,18 +673,18 @@ class TestPinnedOutputs:
 
     PINS = {
         "sequence": {
-            "payloads": "c689acffc241e1ab692bf9bcda2c9480914034e66cfa93b0df2c2eb33ae79489",
-            "reports": "91ec93b1a28d6b8213fffd2918e5c1296e292c9205b582209f0eda3a4cee1cd0",
+            "payloads": "8625508bd03eda7bf82db63ac980f62bbc9c209ceed8240ce1448d69b1ae85bb",
+            "reports": "b037e957f892cacb2db1bc6e633c45ec8b640dcbe4bf94d78da41aad5cbf7c1f",
         },
         "time": {
-            "payloads": "f06f1ec2cad01446dcd1ac536d68ba1b3ca7eb33ecc30f500e79d938b21fa406",
-            "reports": "824678224f236ece6e86e94ded49ddc8e4f63914791775f6931462e1f7646166",
+            "payloads": "bbf0ebbe2128c3ba79b98e38965eae3f4423bf501a2f00faf5fe2f74842d7a7a",
+            "reports": "0863a1161900c732ee613b4a6bc6ee8465a0d6d3aae0fa490ec07d78f3b8b0af",
         },
     }
 
     def run(self, tmp_path, window):
         packets, totals = generate_packets(21, 1500, 1.1, 3.0, v_max=200)
-        model = train_model(list(totals.values()), 8, seed=21).with_allocation(150)
+        model = train_model(list(totals.values()), 8).with_allocation(150)
         store = SketchStore(str(tmp_path / "store"))
         run_pipeline(packets, model, 150, store, window=window,
                      ingest_capacity=200, hash_seed=21)
