@@ -37,9 +37,14 @@ def bank_hashes(key: bytes, seed: int, c: int) -> tuple[tuple[int, int], ...]:
 
 class _Banks:
     """c banks of m // c counters; a key's counter in bank j is at its
-    j-th index hash modulo the bank width. insert and query hash the key
-    with bank_hashes and hand the pairs to their *_hashed forms, which
-    a caller that meets a key many times can use directly."""
+    j-th index hash modulo the bank width, and a signed sketch adds to
+    it and reads it times the key's j-th sign. Each subclass combines
+    the reads. Its keyed insert and query hash the key with bank_hashes
+    and call the *_hashed forms, which a caller that meets a key many
+    times can use directly; they sit in each subclass's own body
+    because perfbench's tracer wraps them class by class."""
+
+    signed = False
 
     def __init__(self, m: int, c: int = 3, seed: int = 0):
         if m < c or c < 1:
@@ -52,6 +57,19 @@ class _Banks:
     def memory_bytes(self, counter_width: int = 32) -> int:
         return self.c * self.width * (counter_width // 8)
 
+    def insert_hashed(self, hashes, value: int) -> None:
+        """insert() with the key's bank_hashes() already computed."""
+        value = int_value(value)
+        width, signed = self.width, self.signed
+        for bank, (idx, sign) in zip(self.banks, hashes, strict=True):
+            bank[idx % width] += sign * value if signed else value
+
+    def _reads(self, hashes) -> list[int]:
+        """The key's counter in every bank, sign-corrected if signed."""
+        width, signed = self.width, self.signed
+        return [sign * bank[idx % width] if signed else bank[idx % width]
+                for bank, (idx, sign) in zip(self.banks, hashes, strict=True)]
+
 
 class CmSketch(_Banks):
     """Count-Min: c banks of m/c counters, query = min of mapped counters."""
@@ -59,21 +77,11 @@ class CmSketch(_Banks):
     def insert(self, key: bytes, value: int) -> None:
         self.insert_hashed(bank_hashes(key, self.seed, self.c), value)
 
-    def insert_hashed(self, hashes, value: int) -> None:
-        """insert() with the key's bank_hashes() already computed."""
-        value = int_value(value)
-        if value < 0:
-            raise ValueError("values must be non-negative")
-        width = self.width
-        for bank, (idx, _) in zip(self.banks, hashes, strict=True):
-            bank[idx % width] += value
-
     def query(self, key: bytes) -> int:
         return self.query_hashed(bank_hashes(key, self.seed, self.c))
 
     def query_hashed(self, hashes) -> int:
-        width = self.width
-        return min([bank[idx % width] for bank, (idx, _) in zip(self.banks, hashes, strict=True)])
+        return min(self._reads(hashes))
 
 
 class CsSketch(_Banks):
@@ -85,26 +93,16 @@ class CsSketch(_Banks):
     query_raw() exposes the unclamped estimator.
     """
 
+    signed = True
+
     def insert(self, key: bytes, value: int) -> None:
         self.insert_hashed(bank_hashes(key, self.seed, self.c), value)
-
-    def insert_hashed(self, hashes, value: int) -> None:
-        """insert() with the key's bank_hashes() already computed."""
-        value = int_value(value)
-        if value < 0:
-            raise ValueError("values must be non-negative")
-        width = self.width
-        for bank, (idx, sign) in zip(self.banks, hashes, strict=True):
-            bank[idx % width] += sign * value
 
     def query_raw(self, key: bytes) -> float:
         return self.query_raw_hashed(bank_hashes(key, self.seed, self.c))
 
     def query_raw_hashed(self, hashes) -> float:
-        width = self.width
-        reads = [sign * bank[idx % width]
-                 for bank, (idx, sign) in zip(self.banks, hashes, strict=True)]
-        return float(statistics.median_low(reads))
+        return float(statistics.median_low(self._reads(hashes)))
 
     def query(self, key: bytes) -> float:
         return self.query_hashed(bank_hashes(key, self.seed, self.c))

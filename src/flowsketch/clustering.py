@@ -29,13 +29,16 @@ class InvalidInputError(ValueError):
 
 
 def int_value(value) -> int:
-    """A sketch insert value as a Python int. Integral types such as
-    numpy ints are converted; bool, float and str raise TypeError."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        raise TypeError("insert values must be integers, not bool")
-    return operator.index(value)
+    """A sketch insert value as a non-negative Python int. Integral
+    types such as numpy ints are converted; bool, float and str raise
+    TypeError, and a negative value raises InvalidInputError."""
+    if type(value) is not int:
+        if isinstance(value, bool):
+            raise TypeError("insert values must be integers, not bool")
+        value = operator.index(value)
+    if value < 0:
+        raise InvalidInputError("values must be non-negative")
+    return value
 
 
 @dataclass(frozen=True)

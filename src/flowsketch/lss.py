@@ -126,8 +126,6 @@ class LssSketch:
         increment of a key that can repeat through insert_duplicate.
         """
         value = int_value(value)
-        if value < 0:
-            raise InvalidInputError("values must be non-negative")
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
         self._place(bucket_h, fp, idx_h, value, self.membership._open_slot(fp, idx_h))
 
@@ -140,8 +138,6 @@ class LssSketch:
         array when the total has moved closer to a different center.
         """
         value = int_value(value)
-        if value < 0:
-            raise InvalidInputError("values must be non-negative")
         table = self.membership
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
         slot = table._find_slot(fp, idx_h)
@@ -277,7 +273,8 @@ class LssSketch:
     @classmethod
     def from_bytes(cls, data: bytes) -> "LssSketch":
         """Decode to_bytes() output. Truncated or trailing bytes, a clear
-        membership flag, and a layout the constructor would reject raise
+        membership flag, a layout the constructor would reject and a
+        membership entry naming a cluster the sketch lacks raise
         ValueError."""
         if len(data) < cls._HEADER.size:
             raise ValueError(f"truncated sketch header at offset {len(data)}")
@@ -299,9 +296,14 @@ class LssSketch:
             raise ValueError(f"{len(data) - end} trailing bytes at offset {end}")
         centers = np.frombuffer(data, dtype="<f4", count=k, offset=off).tolist()
         allocation = struct.unpack_from(f"<{k}I", data, off + 4 * k)
+        table = CuckooTable.from_bytes(data[end - blen:end])
         sketch = cls.__new__(cls)
-        sketch._set_layout(centers, allocation, m, hash_seed, width,
-                           CuckooTable.from_bytes(data[end - blen:end]))
+        sketch._set_layout(centers, allocation, m, hash_seed, width, table)
+        # the table never deletes, so an empty slot holds cluster 0 and
+        # the maximum over every slot is the largest cluster named
+        top = int(np.frombuffer(table._cis, dtype=np.uint8).max(initial=0))
+        if top >= k:
+            raise ValueError(f"membership names cluster {top} of a {k}-cluster sketch")
         fmt = COUNTER_FORMATS[width]
         flat = struct.unpack_from(f"<{2 * m}{fmt}", data, buckets_at)
         sketch._val_sums = list(flat[0::2])

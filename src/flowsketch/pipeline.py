@@ -32,7 +32,6 @@ FLOWLET_RECORD_BYTES = 8  # accounting size of one key-value pair on the wire
 @dataclass(frozen=True)
 class FlowletBatch:
     records: tuple[tuple[bytes, int], ...]  # (flow key, byte count) pairs
-    source_id: str
     sequence_number: int
     emitted_at: int
 
@@ -99,10 +98,9 @@ class IngestStage:
     the next flowlet.
     """
 
-    def __init__(self, source_id: str = "ingest-0", capacity: int = 1000):
+    def __init__(self, capacity: int = 1000):
         if capacity <= 0:
             raise InvalidInputError("ingest table capacity must be positive")
-        self.source_id = source_id
         self.capacity = capacity
         self._table: dict[bytes, int] = {}
         self._sequence = 0
@@ -134,7 +132,7 @@ class IngestStage:
         batch stamped ts_ns, its pairs in table order."""
         records = tuple(self._table.items())
         self._table.clear()
-        batch = FlowletBatch(records, self.source_id, self._sequence, ts_ns)
+        batch = FlowletBatch(records, self._sequence, ts_ns)
         self._sequence += 1
         self.records_emitted += len(records)
         self.batches_emitted += 1
@@ -241,11 +239,15 @@ class SketchStore:
 
     def put(self, envelope: SketchEnvelope) -> str:
         """Write the envelope and index it; an unstamped envelope
-        (arrival_ts 0) is stamped with the current time first."""
-        if envelope.arrival_ts == 0:
-            envelope.arrival_ts = time.time_ns()
+        (arrival_ts 0) is stamped with the current time first. The store
+        holds one envelope per source and window id: putting a second
+        raises FileExistsError and writes nothing."""
         name = f"{envelope.source}_{envelope.window_id:08d}.env"
         path = os.path.join(self.root, name)
+        if os.path.exists(path):
+            raise FileExistsError(f"store {self.root} already holds {name}")
+        if envelope.arrival_ts == 0:
+            envelope.arrival_ts = time.time_ns()
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(envelope.to_bytes())
@@ -405,10 +407,11 @@ class PipelineStats:
 
 
 def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
-                 window: WindowConfig | None = None, source_id: str = "src-0",
-                 ingest_capacity: int = 1000, hash_seed: int = 0) -> PipelineStats:
+                 window: WindowConfig | None = None, ingest_capacity: int = 1000,
+                 hash_seed: int = 0) -> PipelineStats:
     """Drive packets end-to-end across threaded stages connected by the
-    bus, storing every emitted envelope. Returns conservation counters.
+    bus, storing every emitted envelope under the source "src-0".
+    Returns conservation counters.
 
     A stage that fails records its error and drains its input, and
     every producer closes its output topic however it ends, so the
@@ -418,7 +421,8 @@ def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
     bus = TopicBus(maxsize=64)
     stats = PipelineStats()
     errors: list[BaseException] = []
-    flowlet_topic = f"flowlets.{source_id}"
+    source = "src-0"
+    flowlet_topic = f"flowlets.{source}"
     sketch_topic = "sketches"
     flowlet_sub = bus.subscribe(flowlet_topic)
     sketch_sub = bus.subscribe(sketch_topic)
@@ -430,7 +434,7 @@ def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
 
     def ingest_worker():
         try:
-            stage = IngestStage(source_id=source_id, capacity=ingest_capacity)
+            stage = IngestStage(capacity=ingest_capacity)
             last_ts = 0
             for pkt in packets:
                 last_ts = pkt.ts_ns
@@ -451,7 +455,7 @@ def run_pipeline(packets, model: ClusterModel, m: int, store: SketchStore,
 
     def sketch_worker():
         try:
-            stage = SketchingStage(model, m, window, source=source_id,
+            stage = SketchingStage(model, m, window, source=source,
                                    hash_seed=hash_seed)
             last_seq = -1
             for batch in flowlet_sub:

@@ -36,7 +36,11 @@ def format_ip(ip: int) -> str:
 
 
 def parse_ip(text: str) -> int:
-    a, b, c, d = (int(p) for p in text.split("."))
+    """A dotted-quad IPv4 address as an int; ValueError unless it has
+    four octets, each in 0-255."""
+    a, b, c, d = [int(p) for p in text.split(".")]
+    if not (0 <= a <= 255 and 0 <= b <= 255 and 0 <= c <= 255 and 0 <= d <= 255):
+        raise ValueError(f"IPv4 octet outside 0-255 in {text!r}")
     return (a << 24) | (b << 16) | (c << 8) | d
 
 

@@ -180,6 +180,17 @@ class TestPipelineModel:
         trace, model = trained
         assert run_cli("pipeline", trace, tmp_path / "store", "--model", model) == 0
 
+    def test_used_store_refused(self, trained, tmp_path, capsys):
+        trace, model = trained
+        store = tmp_path / "store"
+        assert run_cli("pipeline", trace, store, "--model", model) == 0
+        before = self.stored(store)
+        capsys.readouterr()
+        assert run_cli("pipeline", trace, store, "--model", model) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "src-0_00000000.env" in err
+        assert self.stored(store) == before
+
     def test_window_options_exclusive(self, trained, tmp_path, capsys):
         trace, model = trained
         with pytest.raises(SystemExit) as exc:

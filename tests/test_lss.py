@@ -575,6 +575,17 @@ class TestSerialization:
             LssSketch.from_bytes(crafted_blob((4.0, 20.0), (5, 7), 12,
                                               flags=LssSketch._FLAG_SATURATED))
 
+    def test_cluster_index_beyond_k_rejected(self):
+        sketch = LssSketch(two_center_model(), 8)
+        sketch.insert(b"k", 5)
+        table = sketch.membership.squeeze()
+        slot = int(np.flatnonzero(np.frombuffer(table._fps, dtype=np.uint16))[0])
+        blob = bytearray(sketch.to_bytes())
+        # the table's cluster bytes end the payload
+        blob[len(blob) - len(table._cis) + slot] = 200
+        with pytest.raises(ValueError, match="cluster 200"):
+            LssSketch.from_bytes(bytes(blob))
+
     def test_open_table_rejected(self):
         blob = bytearray(crafted_blob((4.0, 20.0), (5, 7), 12))
         table_at = len(blob) - len(CuckooTable(capacity=64).to_bytes())

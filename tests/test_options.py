@@ -19,6 +19,9 @@ SAMPLES = [1, 2, 3, 10, 11, 12]
 REMOVED = {
     "run_pipeline(bus=)": lambda tmp: run_pipeline([], MODEL, 8, SketchStore(str(tmp)),
                                                    bus=TopicBus()),
+    "run_pipeline(source_id=)": lambda tmp: run_pipeline([], MODEL, 8, SketchStore(str(tmp)),
+                                                         source_id="src-1"),
+    "IngestStage(source_id=)": lambda _: IngestStage(source_id="ingest-1"),
     "SketchingStage(expected_flows=)": lambda _: SketchingStage(MODEL, 8, WindowConfig(),
                                                                 expected_flows=10),
     "TopicBus.subscribe(maxsize=)": lambda _: TopicBus().subscribe("t", maxsize=1),

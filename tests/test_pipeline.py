@@ -261,6 +261,14 @@ class TestSketchStore:
         store.put(stamped)
         assert [e.window_id for e in store.range(0, 7)] == [1]
 
+    def test_second_put_of_a_window_refused(self, tmp_path):
+        # replacing an envelope would index its file twice
+        store = SketchStore(str(tmp_path / "store"))
+        self.put_envelopes(store, 1)
+        with pytest.raises(FileExistsError, match="s_00000000.env"):
+            self.put_envelopes(store, 1)
+        assert len(store.range(0, 10_000)) == 1
+
     def test_range_bounds_validated(self, tmp_path):
         store = SketchStore(str(tmp_path / "store"))
         with pytest.raises(InvalidInputError):

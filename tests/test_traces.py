@@ -133,6 +133,16 @@ class TestReadTrace:
         with pytest.raises(ValueError, match="line 3: negative packet size -5"):
             list(read_trace(str(path)))
 
+    def test_octet_above_255_rejected(self, tmp_path):
+        # 10.0.0.256 would otherwise read as 10.0.1.0, merging two flows
+        path = tmp_path / "octet.csv"
+        path.write_text(
+            "ts_ns,src_ip,dst_ip,src_port,dst_port,proto,bytes\n"
+            "100,10.0.0.256,10.0.0.2,1,2,6,50\n"
+        )
+        with pytest.raises(ValueError, match="line 2: IPv4 octet outside 0-255"):
+            list(read_trace(str(path)))
+
 
 class TestZipfValues:
     def test_support_bounds(self):
