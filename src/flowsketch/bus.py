@@ -1,14 +1,14 @@
-"""In-process ordered topic bus with bounded queues and backpressure.
+"""In-process topic bus: one bounded FIFO queue per topic, read by the
+topic's one subscriber.
 
-Every subscriber of a topic observes that topic's messages in publish
-order. Publishing while a subscriber's queue is full blocks the
-producer, which is the backpressure that keeps stages in step.
-Subscriptions are streaming: a late subscriber sees only messages
-published after it attached.
+A topic's subscriber attaches before anything is published to it or
+the topic is closed; a second subscriber, or a publish or close on a
+topic nobody subscribed to, raises ValueError instead of losing the
+message. Publishing while the queue is full blocks the producer, which
+is the backpressure that keeps stages in step.
 """
 
 import queue
-import threading
 
 
 class TopicClosed(Exception):
@@ -19,12 +19,13 @@ _CLOSE = object()
 
 
 class Subscription:
-    """One consumer's ordered view of a topic."""
+    """The one consumer of a topic: its messages in publish order."""
 
     def __init__(self, topic: str, maxsize: int):
         self.topic = topic
         self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
-        self._ended = False
+        self._closed = False  # no further publish
+        self._ended = False   # end of stream read
 
     def get(self, timeout: float | None = None):
         """Next message in publish order; raises TopicClosed at end of
@@ -46,48 +47,38 @@ class Subscription:
 
 
 class TopicBus:
-    """Named topics with FIFO fan-out to every subscriber."""
+    """Named topics, each one bounded queue with one subscriber."""
 
     def __init__(self, maxsize: int = 1024):
         self._maxsize = maxsize
-        self._lock = threading.Lock()
-        self._topics: dict[str, list[Subscription]] = {}
-        self._publish_locks: dict[str, threading.Lock] = {}
-        self._closed: set[str] = set()
+        self._subs: dict[str, Subscription] = {}
 
-    def _topic_lock(self, topic: str) -> threading.Lock:
-        with self._lock:
-            return self._publish_locks.setdefault(topic, threading.Lock())
+    def _subscription(self, topic: str) -> Subscription:
+        sub = self._subs.get(topic)
+        if sub is None:
+            raise ValueError(f"topic {topic!r} has no subscriber")
+        return sub
 
     def publish(self, topic: str, message) -> None:
-        """Deliver message to every current subscriber of topic, in a
-        single atomic order across concurrent producers."""
-        if not topic:
-            raise ValueError("topic name must be non-empty")
-        with self._topic_lock(topic):
-            if topic in self._closed:
-                raise TopicClosed(topic)
-            with self._lock:
-                subs = list(self._topics.get(topic, ()))
-            for sub in subs:
-                sub._queue.put(message)
+        """Queue message for topic's subscriber, blocking while its
+        queue is full."""
+        sub = self._subscription(topic)
+        if sub._closed:
+            raise TopicClosed(topic)
+        sub._queue.put(message)
 
     def subscribe(self, topic: str) -> Subscription:
         if not topic:
             raise ValueError("topic name must be non-empty")
         sub = Subscription(topic, self._maxsize)
-        with self._lock:
-            if topic in self._closed:
-                raise TopicClosed(topic)
-            self._topics.setdefault(topic, []).append(sub)
+        if self._subs.setdefault(topic, sub) is not sub:
+            raise ValueError(f"topic {topic!r} already has a subscriber")
         return sub
 
     def close_topic(self, topic: str) -> None:
-        """End of stream: subscribers drain what was published, then see
-        TopicClosed."""
-        with self._topic_lock(topic):
-            with self._lock:
-                self._closed.add(topic)
-                subs = list(self._topics.get(topic, ()))
-            for sub in subs:
-                sub._queue.put(_CLOSE)
+        """End of stream: the subscriber drains what was published, then
+        sees TopicClosed. Close a topic once its every publish has
+        returned; a later publish raises TopicClosed."""
+        sub = self._subscription(topic)
+        sub._closed = True
+        sub._queue.put(_CLOSE)

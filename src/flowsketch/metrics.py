@@ -21,8 +21,8 @@ def relative_error(truth: float, estimate: float) -> float:
 
 
 def f1_score(true_set: set, predicted_set: set) -> float:
-    """Harmonic mean of precision and recall; 0 whenever P + R == 0
-    (including the degenerate case of two empty sets)."""
+    """Harmonic mean of precision and recall; 0 whenever P + R == 0.
+    Two empty sets agree exactly and score 1."""
     precision, recall = precision_recall(true_set, predicted_set)
     if precision + recall == 0.0:
         return 0.0
@@ -30,6 +30,10 @@ def f1_score(true_set: set, predicted_set: set) -> float:
 
 
 def precision_recall(true_set: set, predicted_set: set) -> tuple[float, float]:
+    """(precision, recall); (1, 1) when both sets are empty, else 0 for
+    an empty denominator."""
+    if not true_set and not predicted_set:
+        return 1.0, 1.0
     tp = len(true_set & predicted_set)
     precision = tp / len(predicted_set) if predicted_set else 0.0
     recall = tp / len(true_set) if true_set else 0.0

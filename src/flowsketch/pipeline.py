@@ -176,8 +176,7 @@ class SketchingStage:
         if self._window_start is None:
             self._window_start = self._window_start_of(ts)
         elif self.window.mode == "time" and ts >= self._window_start + self.window.capacity:
-            envelope = self._rotate()
-            self._window_start = self._window_start_of(ts)
+            envelope = self._rotate(self._window_start_of(ts))
         self._last_ts = ts
         try:
             self._sketch.insert_duplicate(key, value)
@@ -187,12 +186,11 @@ class SketchingStage:
         except TableFullError:
             log.warning("membership table full on %s window %d; rotating early",
                         self.source, self._window_id)
-            envelope = self._rotate()
-            self._window_start = self._window_start_of(ts)
+            envelope = self._rotate(self._window_start_of(ts))
             self._sketch.insert_duplicate(key, value)
         if (envelope is None and self.window.mode == "sequence"
                 and self._sketch.membership.occupied >= self.window.capacity):
-            envelope = self._rotate()
+            envelope = self._rotate(None)
         return envelope
 
     def feed_batch(self, batch: FlowletBatch) -> list[SketchEnvelope]:
@@ -207,41 +205,38 @@ class SketchingStage:
         """Close the open window even if it is not full; None if empty."""
         if self._sketch.cardinality() == 0:
             return None
-        return self._rotate()
+        return self._rotate(None)
 
-    def _rotate(self) -> SketchEnvelope:
-        if self.window.mode == "time":
-            start = self._window_start or 0
-            bounds = (start, start + self.window.capacity)
-        else:
-            bounds = (self._window_start or 0, self._last_ts)
-        envelope = SketchEnvelope(
-            payload=self._sketch.to_bytes(),
-            source=self.source,
-            window_id=self._window_id,
-            window_start=bounds[0],
-            window_end=bounds[1],
-        )
+    def _rotate(self, next_start: int | None) -> SketchEnvelope:
+        """Close the open window and start the next one at next_start;
+        None leaves it to open at its first record, as the first window
+        does. A sequence window ends at its last record, a time window
+        at the end of its slot."""
+        start = self._window_start
+        end = start + self.window.capacity if self.window.mode == "time" else self._last_ts
+        envelope = SketchEnvelope(payload=self._sketch.to_bytes(), source=self.source,
+                                  window_id=self._window_id, window_start=start,
+                                  window_end=end)
         self._window_id += 1
-        self._window_start = None
+        self._window_start = next_start
         self._sketch = None  # free the closed window before the next one's table exists
         self._sketch = self._new_sketch()
         return envelope
 
 
 class SketchStore:
-    """One file per envelope plus an append-only timestamp index."""
+    """One file per envelope, named by its source and window id. The
+    arrival stamps in the envelope headers are the store's only index."""
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._index_path = os.path.join(root, "index.log")
 
     def put(self, envelope: SketchEnvelope) -> str:
-        """Write the envelope and index it; an unstamped envelope
-        (arrival_ts 0) is stamped with the current time first. The store
-        holds one envelope per source and window id: putting a second
-        raises FileExistsError and writes nothing."""
+        """Write the envelope; an unstamped envelope (arrival_ts 0) is
+        stamped with the current time first. The store holds one
+        envelope per source and window id: putting a second raises
+        FileExistsError and writes nothing."""
         name = f"{envelope.source}_{envelope.window_id:08d}.env"
         path = os.path.join(self.root, name)
         if os.path.exists(path):
@@ -252,36 +247,28 @@ class SketchStore:
         with open(tmp, "wb") as fh:
             fh.write(envelope.to_bytes())
         os.replace(tmp, path)
-        with open(self._index_path, "a") as fh:
-            fh.write(f"{envelope.arrival_ts}\t{name}\n")
         return path
 
     def range(self, t0: int, t1: int) -> list[SketchEnvelope]:
-        """Envelopes whose arrival timestamp lies in [t0, t1], in
-        arrival order. Corrupt entries are skipped with a warning."""
+        """Envelopes whose arrival timestamp lies in [t0, t1], ordered by
+        (arrival timestamp, file name). Every envelope file is decoded;
+        a corrupt one is skipped with a warning."""
         if t0 > t1:
             raise InvalidInputError("t0 must not exceed t1")
-        if not os.path.exists(self._index_path):
-            return []
-        rows = []
-        with open(self._index_path) as fh:
-            for line in fh:
-                try:
-                    ts_text, name = line.rstrip("\n").split("\t")
-                    rows.append((int(ts_text), name))
-                except ValueError:
-                    log.warning("skipping malformed index line: %r", line)
-        out = []
-        for ts, name in sorted(rows):
-            if not (t0 <= ts <= t1):
+        found = []
+        for name in os.listdir(self.root):
+            if not name.endswith(".env"):
                 continue
-            path = os.path.join(self.root, name)
             try:
-                with open(path, "rb") as fh:
-                    out.append(SketchEnvelope.from_bytes(fh.read()))
+                with open(os.path.join(self.root, name), "rb") as fh:
+                    env = SketchEnvelope.from_bytes(fh.read())
             except (OSError, ValueError) as exc:
                 log.warning("skipping corrupt envelope %s: %s", name, exc)
-        return out
+                continue
+            if t0 <= env.arrival_ts <= t1:
+                found.append((env.arrival_ts, name, env))
+        found.sort(key=lambda row: row[:2])
+        return [env for _, _, env in found]
 
 
 QUERY_TASKS = ("flow-size", "entropy", "heavy-hitters", "cardinality", "heavy-changes")

@@ -15,12 +15,14 @@ data; widen it with v_max for heavier experiments.
 """
 
 import csv
+import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 _KEY = struct.Struct("!IIHHB")
+_NOT_DIGIT_OR_DOT = re.compile(r"[^0-9.]")
 
 
 def pack_flow_key(src_ip: int, dst_ip: int, src_port: int, dst_port: int, proto: int) -> bytes:
@@ -173,7 +175,9 @@ def write_trace(path: str, packets: list[TracePacket]) -> None:
 
 def read_trace(path: str):
     """Yield TracePacket rows; raises ValueError with the line number on
-    malformed input, a negative packet size included."""
+    malformed input, a negative packet size included. Every field is
+    plain ASCII digits, with dots in the two addresses: int() alone
+    would also take signs, spaces, underscores and non-ASCII digits."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -186,6 +190,9 @@ def read_trace(path: str):
                 size = int(size)
                 if size < 0:
                     raise ValueError(f"negative packet size {size}")
+                bad = _NOT_DIGIT_OR_DOT.search("".join(row))
+                if bad:
+                    raise ValueError(f"character {bad.group()!r} is not an ASCII digit")
                 yield TracePacket(key, size, int(ts))
             except (ValueError, struct.error) as exc:
                 raise ValueError(f"trace parse error at line {lineno}: {exc}") from exc

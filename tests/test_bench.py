@@ -185,7 +185,7 @@ class TestRunBenchmark:
         hh = _evaluate("lss", [7.0, 1.0], totals, 0, 2.0)["heavy_hitters"]
         assert (hh["true_count"], hh["f1"]) == (1, 1.0)
         hh = _evaluate("lss", [7.0, 1.0], totals, 0, 7.0)["heavy_hitters"]
-        assert (hh["true_count"], hh["f1"]) == (0, 0.0)
+        assert (hh["true_count"], hh["f1"]) == (0, 1.0)
 
     def test_uniform_trace_runs(self, tmp_path):
         path = str(tmp_path / "u.csv")

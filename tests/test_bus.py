@@ -15,26 +15,6 @@ class TestOrdering:
         assert sub.get() == "m1"
         assert sub.get() == "m2"
 
-    def test_fan_out_to_all_subscribers(self):
-        bus = TopicBus()
-        a = bus.subscribe("t")
-        b = bus.subscribe("t")
-        for i in range(5):
-            bus.publish("t", i)
-        bus.close_topic("t")
-        assert list(a) == list(range(5))
-        assert list(b) == list(range(5))
-
-    def test_late_subscriber_sees_only_new_messages(self):
-        bus = TopicBus()
-        early = bus.subscribe("t")
-        bus.publish("t", "old")
-        late = bus.subscribe("t")
-        bus.publish("t", "new")
-        bus.close_topic("t")
-        assert list(early) == ["old", "new"]
-        assert list(late) == ["new"]
-
     def test_per_producer_order_with_four_producers(self):
         bus = TopicBus(maxsize=200_000)
         sub = bus.subscribe("audit")
@@ -88,6 +68,22 @@ class TestLifecycle:
             bus.publish("", 1)
         with pytest.raises(ValueError):
             bus.subscribe("")
+
+    def test_second_subscriber_refused(self):
+        bus = TopicBus()
+        sub = bus.subscribe("t")
+        with pytest.raises(ValueError, match="already has a subscriber"):
+            bus.subscribe("t")
+        bus.publish("t", 1)
+        assert sub.get() == 1
+
+    def test_unsubscribed_topic_refused(self):
+        # a message nobody will read is an error, not a silent drop
+        bus = TopicBus()
+        with pytest.raises(ValueError, match="no subscriber"):
+            bus.publish("t", 1)
+        with pytest.raises(ValueError, match="no subscriber"):
+            bus.close_topic("t")
 
     def test_get_timeout(self):
         bus = TopicBus()

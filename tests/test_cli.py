@@ -76,6 +76,15 @@ class TestBench:
         assert run_cli("bench", "--window", 2000, "--clusters", 30, "--seed", 2,
                        "--train-samples", 2000, "--ratios", 0.1, "--check") == 0
 
+    def test_bench_check_passes_a_single_size_trace(self, tmp_path):
+        # every flow has one size, so no flow is a heavy hitter and the
+        # empty predicted set is exactly right
+        trace = tmp_path / "u.csv"
+        assert run_cli("gen", trace, "--uniform", "--flows", 300, "--packets-per-flow", 3,
+                       "--packet-bytes", 100) == 0
+        assert run_cli("bench", "--trace", trace, "--window", 300, "--train-samples", 300,
+                       "--ratios", 0.1, "--check") == 0
+
 
 class TestOptions:
     @pytest.mark.parametrize("argv", [

@@ -38,7 +38,7 @@ class TestF1:
     def test_empty_cases(self):
         assert f1_score(set(), {1}) == 0.0
         assert f1_score({1}, set()) == 0.0
-        assert f1_score(set(), set()) == 0.0
+        assert f1_score(set(), set()) == 1.0
 
 
 class TestEntropy:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import struct
 import tempfile
 import threading
@@ -262,7 +263,7 @@ class TestSketchStore:
         assert [e.window_id for e in store.range(0, 7)] == [1]
 
     def test_second_put_of_a_window_refused(self, tmp_path):
-        # replacing an envelope would index its file twice
+        # the store holds one envelope per source and window id
         store = SketchStore(str(tmp_path / "store"))
         self.put_envelopes(store, 1)
         with pytest.raises(FileExistsError, match="s_00000000.env"):
@@ -304,6 +305,41 @@ class TestSketchStore:
             envs = store.range(0, 10_000)
         assert [e.window_id for e in envs] == [0]
         assert any("trailing" in r.message for r in caplog.records)
+
+    def test_envelope_file_alone_is_found(self, tmp_path):
+        # what a put leaves if it stops right after its file is in place:
+        # the envelope's own header is all range needs
+        store = SketchStore(str(tmp_path / "store"))
+        env = self.put_envelopes(SketchStore(str(tmp_path / "other")), 1)[0]
+        (tmp_path / "store" / "s_00000000.env").write_bytes(env.to_bytes())
+        assert [e.to_bytes() for e in store.range(0, 10_000)] == [env.to_bytes()]
+
+    def test_pipeline_leaves_only_envelope_files(self, tmp_path):
+        packets, _ = generate_packets(9, 400, 1.1, 3.0)
+        store = SketchStore(str(tmp_path / "store"))
+        stats = run_pipeline(packets, small_model(), 16, store,
+                             window=WindowConfig("sequence", 100))
+        names = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert names == [f"src-0_{i:08d}.env" for i in range(stats.envelopes)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(stamps=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(1, 5)),
+                          min_size=1, max_size=12),
+           bounds=st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted))
+    def test_range_is_in_range_by_arrival_then_name(self, stamps, bounds):
+        # stamps tie often, so file names decide much of the order
+        t0, t1 = bounds
+        with tempfile.TemporaryDirectory() as root:
+            store = SketchStore(root)
+            expected = []
+            for wid, (source, arrival) in enumerate(stamps):
+                env = SketchEnvelope(payload=b"", source=source, window_id=wid,
+                                     window_start=0, window_end=0, arrival_ts=arrival)
+                name = os.path.basename(store.put(env))
+                if t0 <= arrival <= t1:
+                    expected.append((arrival, name, source, wid))
+            got = [(e.source, e.window_id) for e in store.range(t0, t1)]
+        assert got == [(source, wid) for *_, source, wid in sorted(expected)]
 
 
 class TestNetworkWideQuery:

@@ -143,6 +143,22 @@ class TestReadTrace:
         with pytest.raises(ValueError, match="line 2: IPv4 octet outside 0-255"):
             list(read_trace(str(path)))
 
+    @pytest.mark.parametrize("row", [
+        "100,10.0.0.1_0,10.0.0.2,1,2,6,50",
+        "100,10.0.0.1,\u00a010.0.0.10,1,2,6,50",
+        "100, 10.0.0.+10,10.0.0.2,1,2,6,50",
+        "100,\u0661\u0660.0.0.10,10.0.0.2,1,2,6,50",
+        "1_0,10.0.0.1,10.0.0.2,+80,0_443,6, 100",
+        "100,10.0.0.1,10.0.0.2,1,2,6,\uff15\uff10",
+    ], ids=["underscore", "nbsp", "space-sign", "arabic-indic", "mixed", "fullwidth"])
+    def test_non_ascii_digit_rejected(self, tmp_path, row):
+        # int() takes all of these, so each would read as another row's flow
+        path = tmp_path / "digits.csv"
+        path.write_text("ts_ns,src_ip,dst_ip,src_port,dst_port,proto,bytes\n" + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: character .* is not an ASCII digit"):
+            list(read_trace(str(path)))
+
 
 class TestZipfValues:
     def test_support_bounds(self):
