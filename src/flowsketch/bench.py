@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .baselines import CmSketch, CsSketch, bank_hashes
-from .clustering import ClusterModel, InvalidInputError, train_model
+from .clustering import ClusterModel, InvalidInputError, int_value, train_model
 from .hashing import key_digests
-from .lss import BucketUnderflowError, LssSketch, sketch_bytes
+from .lss import BATCH, BucketUnderflowError, LssSketch, sketch_bytes
 from .membership import CuckooTable
 from .metrics import entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
@@ -173,15 +173,21 @@ def split_windows(records, window: int) -> list[list]:
     return windows
 
 
-def _fill_lss(sketch: LssSketch, records) -> int:
-    """Insert every record; returns how many increments landed on a
-    fingerprint-merged flow (counted, not fatal)."""
+def _fill_lss(sketch: LssSketch, digests, replay) -> int:
+    """insert_duplicate of every record, under the key_digests of
+    totals' keys and _window_hashes' (values, key rows) replay; returns
+    how many increments landed on a fingerprint-merged flow (counted,
+    not fatal). The records' digests are gathered BATCH at a time, so
+    no window-long list of them is held."""
+    values, rows = replay
     merged = 0
-    for key, value in records:
-        try:
-            sketch.insert_duplicate(key, value)
-        except BucketUnderflowError:
-            merged += 1
+    for start in range(0, len(values), BATCH):
+        part = rows[start:start + BATCH]
+        for record in zip(values[start:start + BATCH], *(c[part].tolist() for c in digests)):
+            try:
+                sketch._insert_digested(*record)
+            except BucketUnderflowError:
+                merged += 1
     return merged
 
 
@@ -193,9 +199,10 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
 
     The window's exact totals (in first-seen order), and its keys'
     hashes, are built once here and shared by every ratio, so at most
-    one window's hashes are held at a time. The clustered sketch replays the records, since its
-    incremental path (migrations, merged-flow events) is part of what
-    is scored, and is read back in one batch; Count-Min and
+    one window's hashes are held at a time. The clustered sketch replays
+    the records under their keys' digests, since its incremental path
+    (migrations, merged-flow events) is part of what is scored, and is
+    read back in one batch; Count-Min and
     Count-Sketch are linear, so inserting each flow's total leaves the
     same counters as replaying its fragments."""
     totals: dict[bytes, int] = {}
@@ -204,27 +211,32 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
     if not any(total > 0 for total in totals.values()):
         raise InvalidInputError(f"window {index} has no flow with a positive total: "
                                 "its flow-size relative error is undefined")
-    hashes = _window_hashes(config, totals)
-    return [_score_fit(config, fit, window_records, totals, hashes, hh_threshold)
-            for fit in fits]
+    hashes = _window_hashes(config, window_records, totals)
+    return [_score_fit(config, fit, totals, hashes, hh_threshold) for fit in fits]
 
 
-def _window_hashes(config: BenchmarkConfig, totals: dict[bytes, int]) -> tuple:
+def _window_hashes(config: BenchmarkConfig, window_records, totals: dict[bytes, int]) -> tuple:
     """(bank hashes by key, or None without a baseline; key_digests of
-    totals' keys, or None without the clustered sketch)."""
-    banks = digests = None
+    totals' keys, and the records' checked values with each record's
+    row in those digests, or None twice without the clustered sketch).
+    Each key is digested once."""
+    banks = digests = replay = None
     if "cm" in config.sketches or "cs" in config.sketches:
         banks = {key: bank_hashes(key, config.seed, BANKS) for key in totals}
     if "lss" in config.sketches:
         digests = key_digests(totals, config.seed)
-    return banks, digests
+        row_of = {key: i for i, key in enumerate(totals)}
+        rows = np.fromiter((row_of[key] for key, _ in window_records), dtype=np.int64,
+                           count=len(window_records))
+        replay = [int_value(value) for _, value in window_records], rows
+    return banks, digests, replay
 
 
-def _score_fit(config: BenchmarkConfig, fit, window_records, totals: dict[bytes, int],
-               hashes: tuple, hh_threshold: float) -> dict:
+def _score_fit(config: BenchmarkConfig, fit, totals: dict[bytes, int], hashes: tuple,
+               hh_threshold: float) -> dict:
     """Fill and score every configured sketch at one fit, one sketch at
-    a time, in SKETCH_KINDS order, reading with _window_hashes' hashes."""
-    banks, digests = hashes
+    a time, in SKETCH_KINDS order, from _window_hashes' hashes."""
+    banks, digests, replay = hashes
     model, m = fit
     n_flows = len(totals)
     # every structure additionally needs key tracking to answer the
@@ -244,7 +256,7 @@ def _score_fit(config: BenchmarkConfig, fit, window_records, totals: dict[bytes,
             sketch = LssSketch(model, m, hash_seed=config.seed,
                                counter_width=config.counter_width,
                                expected_flows=config.window)
-            merged = _fill_lss(sketch, window_records)
+            merged = _fill_lss(sketch, digests, replay)
             estimates = _lss_estimates(sketch, digests)
             own_bytes = sketch_budget
             extra = {
@@ -414,7 +426,7 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
     series = []
     for epoch in epochs:
         records, totals = _epoch_records(config, epoch)
-        row = _score_fit(lss_only, fit, records, totals, _window_hashes(lss_only, totals),
+        row = _score_fit(lss_only, fit, totals, _window_hashes(lss_only, records, totals),
                          hh_threshold)["lss"]
         series.append({"epoch": int(epoch), **_lss_summary(row)})
     return series

@@ -21,9 +21,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .clustering import ClusterModel, InvalidInputError, allocate_buckets, int_value, nearest_center
-from .hashing import key_digest
-from .membership import CuckooTable
+from .clustering import (ClusterModel, InvalidInputError, allocate_buckets, assign_nearest,
+                         int_value, nearest_center)
+from .hashing import key_digest, key_digests
+from .membership import SLOTS_PER_BUCKET, CuckooTable, TableFullError
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
 COUNTER_FORMATS = {16: "H", 32: "I", 64: "Q"}  # counter width -> struct code on the wire
@@ -138,12 +139,21 @@ class LssSketch:
         array when the total has moved closer to a different center.
         """
         value = int_value(value)
-        table = self.membership
-        bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
-        slot = table._find_slot(fp, idx_h)
+        self._insert_digested(value, *key_digest(key, self.hash_seed))
+
+    def _insert_digested(self, value: int, bucket_h: int, fp: int, idx_h: int) -> None:
+        """insert_duplicate of a checked value under its key's digest."""
+        slot = self.membership._find_slot(fp, idx_h)
         if slot < 0:
             self._place(bucket_h, fp, idx_h, value, slot)
-            return
+        else:
+            self._add_to_held(slot, bucket_h, value)
+
+    def _add_to_held(self, slot: int, bucket_h: int, value: int) -> None:
+        """Add an increment to the flow held in membership slot `slot`:
+        count it in the flow's bucket, then migrate the flow's total when
+        it has moved closer to another center."""
+        table = self.membership
         old, cached = table._read(slot)
         if cached is None:
             raise RuntimeError("cannot insert into a closed (squeezed) window")
@@ -167,6 +177,87 @@ class LssSketch:
             vals[pos_new] += total
             counts[pos_new] += 1
         table._write(slot, new, total)
+
+    def insert_many(self, pairs, room: int | None = None) -> tuple[int, int, bool]:
+        """insert_duplicate of each (key, value) pair, in order, in one
+        batch pass; the sketch ends exactly as that loop leaves it, its
+        table layout and kick-chain draws included. Every value is
+        checked before anything changes.
+
+        Returns (consumed, merged, full). merged counts the increments
+        that raised BucketUnderflowError in the loop; here they are
+        counted and the pass goes on. The pass stops after the first
+        record that leaves the table holding `room` entries more than
+        at the call (None: no limit), and before a record that finds
+        the table full (full is then True and that record is not
+        consumed; the table is as TableFullError leaves it).
+
+        Why the pass is exact: the keys are digested with key_digests
+        and probed against a snapshot of the table in numpy, giving each
+        record's hit slot, and new flows are routed with assign_nearest
+        (exact for values below 2**53; nearest_center above). The table
+        never deletes, so a bucket's occupied slots are a prefix and a
+        miss's free slot is its first candidate bucket's base plus that
+        bucket's live fill count, or the second's. A snapshot answer
+        goes stale only when the pass has added the same fingerprint to
+        the record's bucket pair, or a kick chain wrote to one of the
+        record's two buckets; only those records are probed again, with
+        _find_slot.
+        """
+        values = [int_value(v) for _, v in pairs]
+        if not values:
+            return 0, 0, False
+        table = self.membership
+        bucket_hs, fps, idx_hs = key_digests([k for k, _ in pairs], self.hash_seed)
+        i1s, i2s = table._buckets_of(fps, idx_hs)
+        pair_ids = (fps << np.uint64(32)) | np.minimum(i1s, i2s)  # the fp and its bucket pair
+        if max(values) < 1 << 53:  # float64 holds the value exactly
+            clusters = assign_nearest(self.centers, values)
+        else:
+            clusters = np.asarray([nearest_center(self.centers, v) for v in values])
+        alloc = np.asarray(self.allocation, dtype=np.uint64)
+        positions = np.asarray(self._offsets, dtype=np.uint64)[clusters] + bucket_hs % alloc[clusters]
+        snapshot = table._find_slots(fps, idx_hs).tolist()
+        fill = table._fills()
+        nslots = len(fill) * SLOTS_PER_BUCKET
+        bucket_hs, fps, idx_hs, clusters, positions = (
+            a.tolist() for a in (bucket_hs, fps, idx_hs, clusters, positions))
+        vals, counts = self._val_sums, self._key_counts
+        added: set[int] = set()   # pair ids of the flows this pass placed
+        dirty: set[int] = set()   # buckets a kick chain wrote
+        limit = None if room is None else table.occupied + room
+        merged = 0
+        for j, (b1, b2, pair_id, slot) in enumerate(zip(i1s.tolist(), i2s.tolist(),
+                                                        pair_ids.tolist(), snapshot)):
+            if b1 in dirty or b2 in dirty or pair_id in added:
+                slot = table._find_slot(fps[j], idx_hs[j])
+            elif slot < 0:
+                if fill[b1] < SLOTS_PER_BUCKET:
+                    slot = ~(b1 * SLOTS_PER_BUCKET + fill[b1])
+                elif fill[b2] < SLOTS_PER_BUCKET:
+                    slot = ~(b2 * SLOTS_PER_BUCKET + fill[b2])
+                else:
+                    slot = ~nslots
+            if slot >= 0:
+                try:
+                    self._add_to_held(slot, bucket_hs[j], values[j])
+                except BucketUnderflowError:
+                    merged += 1
+            else:
+                try:
+                    chain = table._insert_fp(fps[j], idx_hs[j], clusters[j], values[j], slot)
+                except TableFullError:
+                    return j, merged, True
+                if chain:
+                    dirty.update(s // SLOTS_PER_BUCKET for s in chain)
+                else:
+                    fill[~slot // SLOTS_PER_BUCKET] += 1
+                added.add(pair_id)
+                vals[positions[j]] += values[j]
+                counts[positions[j]] += 1
+            if limit is not None and table.occupied >= limit:
+                return j + 1, merged, False
+        return len(values), merged, False
 
     # -- queries ---------------------------------------------------------
 

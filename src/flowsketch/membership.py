@@ -115,26 +115,54 @@ class CuckooTable:
         s = self._find_slot(fp, idx_h)
         return None if s < 0 else self._read(s)
 
-    def _lookup_fps(self, fps: np.ndarray, idx_hs: np.ndarray) -> np.ndarray:
-        """_lookup_fp over uint64 arrays of fingerprints and index
-        hashes: the cluster index of the slot each probe finds, taking
-        the first match in i1 then in i2 as _probe does, or -1."""
-        slots = np.frombuffer(self._fps, dtype=np.uint16).reshape(-1, SLOTS_PER_BUCKET)
+    def _buckets_of(self, fps: np.ndarray, idx_hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two candidate buckets (i1, i2) of each fingerprint and
+        index hash in uint64 arrays."""
         i1 = idx_hs & np.uint64(self._mask)
-        i2 = (i1 ^ mix16(fps)) & np.uint64(self._mask)
+        return i1, (i1 ^ mix16(fps)) & np.uint64(self._mask)
+
+    def _probe_many(self, fps: np.ndarray, idx_hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_probe's hit over uint64 arrays of fingerprints and index
+        hashes: the slot each probe finds, taking the first match in i1
+        then in i2 as _probe does, and whether it found one (where it
+        did not, the slot is i2's first)."""
+        slots = np.frombuffer(self._fps, dtype=np.uint16).reshape(-1, SLOTS_PER_BUCKET)
+        i1, i2 = self._buckets_of(fps, idx_hs)
         want = fps.astype(np.uint16)[:, None]
         in1 = slots[i1] == want
         in2 = slots[i2] == want
         hit1 = in1.any(axis=1)
         slot = np.where(hit1, i1 * SLOTS_PER_BUCKET + in1.argmax(axis=1).astype(np.uint64),
                         i2 * SLOTS_PER_BUCKET + in2.argmax(axis=1).astype(np.uint64))
+        return slot, hit1 | in2.any(axis=1)
+
+    def _find_slots(self, fps: np.ndarray, idx_hs: np.ndarray) -> np.ndarray:
+        """_find_slot's hit over uint64 arrays of fingerprints and index
+        hashes: the slot holding each fingerprint, or -1."""
+        slot, hit = self._probe_many(fps, idx_hs)
+        return np.where(hit, slot.astype(np.int64), -1)
+
+    def _lookup_fps(self, fps: np.ndarray, idx_hs: np.ndarray) -> np.ndarray:
+        """_lookup_fp over uint64 arrays of fingerprints and index
+        hashes: the cluster index of the slot each probe finds, or -1."""
+        slot, hit = self._probe_many(fps, idx_hs)
         cis = np.frombuffer(self._cis, dtype=np.uint8)
-        return np.where(hit1 | in2.any(axis=1), cis[slot].astype(np.int64), -1)
+        return np.where(hit, cis[slot].astype(np.int64), -1)
+
+    def _fills(self) -> list[int]:
+        """Occupied slots per bucket. The table never deletes and fills
+        a bucket's first empty slot, so a bucket with fill occupied
+        slots holds them in its first fill slots."""
+        slots = np.frombuffer(self._fps, dtype=np.uint16).reshape(-1, SLOTS_PER_BUCKET)
+        return np.count_nonzero(slots, axis=1).tolist()
 
     def _insert_fp(self, fp: int, idx_h: int, cluster_index: int, value: int,
-                   miss: int) -> None:
+                   miss: int) -> list[int]:
         """Add an entry for fp. miss is _find_slot's (or _open_slot's)
-        negative result for fp on the table as it stands."""
+        negative result for fp on the table as it stands. Returns the
+        slots a kick chain wrote, in chain order and ending at the slot
+        that was empty, or [] when the entry went straight into the
+        miss's free slot."""
         if self.squeezed:
             raise RuntimeError("cannot insert into a squeezed table")
         if self.occupied >= self._max_occupied:
@@ -147,7 +175,7 @@ class CuckooTable:
             self._fps[free] = fp
             self._write(free, cluster_index, value)
             self.occupied += 1
-            return
+            return []
         i1 = idx_h & self._mask
         i2 = self._alt_index(i1, fp)
         # both candidates full: displace a random victim and chase it
@@ -164,7 +192,8 @@ class CuckooTable:
                     self._fps[s] = fp
                     self._write(s, cluster_index, value)
                     self.occupied += 1
-                    return
+                    kicked.append(s)
+                    return kicked
         # undo the chain in reverse, so every held entry is back in its
         # slot and only the new one is left out
         for victim in reversed(kicked):

@@ -71,12 +71,21 @@ class SketchEnvelope:
         return head + src + self.payload
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "SketchEnvelope":
+    def _unpack_header(cls, data: bytes) -> tuple[int, int, int, int, int, int]:
+        """(source length, window_id, window_start, window_end,
+        arrival_ts, payload length) from the fixed header that starts
+        data; a short header or a wrong magic or version raises
+        ValueError."""
         if len(data) < cls._HEADER.size:
             raise ValueError(f"truncated envelope header at offset {len(data)}")
-        magic, version, srclen, wid, wstart, wend, arrival, plen = cls._HEADER.unpack_from(data)
+        magic, version, *fields = cls._HEADER.unpack_from(data)
         if magic != cls._MAGIC or version != 1:
             raise ValueError(f"bad envelope magic/version: {magic!r} v{version}")
+        return tuple(fields)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "SketchEnvelope":
+        srclen, wid, wstart, wend, arrival, plen = cls._unpack_header(data)
         off = cls._HEADER.size
         end = off + srclen + plen
         if len(data) < end:
@@ -184,22 +193,51 @@ class SketchingStage:
             # fingerprint-merged flows stay merged; accounted, not fatal
             self.merged_flow_events += 1
         except TableFullError:
-            log.warning("membership table full on %s window %d; rotating early",
-                        self.source, self._window_id)
-            envelope = self._rotate(self._window_start_of(ts))
-            self._sketch.insert_duplicate(key, value)
+            envelope = self._rotate_early(key, value, ts)
         if (envelope is None and self.window.mode == "sequence"
                 and self._sketch.membership.occupied >= self.window.capacity):
             envelope = self._rotate(None)
         return envelope
 
     def feed_batch(self, batch: FlowletBatch) -> list[SketchEnvelope]:
+        """feed() of each of the batch's records in order, with the same
+        envelopes and end state, through LssSketch.insert_many: one pass
+        per run of records that one window takes. Every record carries
+        the batch's stamp, so the time roll-over is checked once."""
+        records, ts = batch.records, batch.emitted_at
+        if not records:
+            return []
         envelopes = []
-        for key, value in batch.records:
-            env = self.feed(key, value, ts=batch.emitted_at)
-            if env is not None:
-                envelopes.append(env)
+        if (self._window_start is not None and self.window.mode == "time"
+                and ts >= self._window_start + self.window.capacity):
+            envelopes.append(self._rotate(self._window_start_of(ts)))
+        self._last_ts = ts
+        sequence = self.window.mode == "sequence"
+        done = 0
+        while done < len(records):
+            if self._window_start is None:
+                self._window_start = self._window_start_of(ts)
+            table = self._sketch.membership
+            room = self.window.capacity - table.occupied if sequence else None
+            consumed, merged, full = self._sketch.insert_many(records[done:], room)
+            self.merged_flow_events += merged
+            done += consumed
+            if full:
+                # feed() skips the window-size check after an early rotation
+                envelopes.append(self._rotate_early(*records[done], ts))
+                done += 1
+            elif sequence and table.occupied >= self.window.capacity:
+                envelopes.append(self._rotate(None))
         return envelopes
+
+    def _rotate_early(self, key: bytes, value: int, ts: int) -> SketchEnvelope:
+        """Close a window whose membership table is full, and insert the
+        record that found it full into the next one."""
+        log.warning("membership table full on %s window %d; rotating early",
+                    self.source, self._window_id)
+        envelope = self._rotate(self._window_start_of(ts))
+        self._sketch.insert_duplicate(key, value)
+        return envelope
 
     def flush(self) -> SketchEnvelope | None:
         """Close the open window even if it is not full; None if empty."""
@@ -251,8 +289,11 @@ class SketchStore:
 
     def range(self, t0: int, t1: int) -> list[SketchEnvelope]:
         """Envelopes whose arrival timestamp lies in [t0, t1], ordered by
-        (arrival timestamp, file name). Every envelope file is decoded;
-        a corrupt one is skipped with a warning."""
+        (arrival timestamp, file name). Each envelope file's header and
+        source name are read first, and a file whose header is bad is
+        skipped with a warning; the body is read and decoded only when
+        the arrival stamp is in range, so a corrupt body outside the
+        range goes unread, and one inside it is skipped with a warning."""
         if t0 > t1:
             raise InvalidInputError("t0 must not exceed t1")
         found = []
@@ -260,13 +301,25 @@ class SketchStore:
             if not name.endswith(".env"):
                 continue
             try:
-                with open(os.path.join(self.root, name), "rb") as fh:
+                # unbuffered: a file out of range costs two small reads
+                with open(os.path.join(self.root, name), "rb", buffering=0) as fh:
+                    head = fh.read(SketchEnvelope._HEADER.size)
+                    srclen, _, _, _, arrival, _ = SketchEnvelope._unpack_header(head)
+                    # the source name ends the header: short or not
+                    # UTF-8, the header is bad
+                    source = fh.read(srclen)
+                    if len(source) < srclen:
+                        raise ValueError(f"truncated envelope source at offset "
+                                         f"{len(head) + len(source)}")
+                    source.decode()
+                    if not t0 <= arrival <= t1:
+                        continue
+                    fh.seek(0)
                     env = SketchEnvelope.from_bytes(fh.read())
             except (OSError, ValueError) as exc:
                 log.warning("skipping corrupt envelope %s: %s", name, exc)
                 continue
-            if t0 <= env.arrival_ts <= t1:
-                found.append((env.arrival_ts, name, env))
+            found.append((env.arrival_ts, name, env))
         found.sort(key=lambda row: row[:2])
         return [env for _, _, env in found]
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,156 @@ class TestBatchRead:
     def test_empty_key_list(self):
         sketch, _ = TestSingleLookup().build()
         assert list(sketch.buckets(key_digests([], 29))) == []
+
+
+def merged_pair(seed, capacity):
+    """Two keys with the same fingerprint and the same candidate
+    buckets in a table sized for capacity: the table cannot tell them
+    apart, so the second one's increments land on the first's slot."""
+    table = CuckooTable(capacity=capacity, seed=seed)
+    seen = {}
+    i = 0
+    while True:
+        key = f"merge-{i}".encode()
+        i += 1
+        fp, i1 = table._fp_and_index(key)
+        pair = (fp, min(i1, table._alt_index(i1, fp)))
+        if pair in seen:
+            return seen[pair], key
+        seen[pair] = key
+
+
+def trapped_keys(seed, capacity, n=5):
+    """n keys whose two candidate buckets are both bucket 0 of a table
+    sized for capacity. Once four of them fill it, a fifth starts a
+    kick chain that only moves them within bucket 0, so it fails."""
+    table = CuckooTable(capacity=capacity, seed=seed)
+    keys, fps = [], set()
+    i = 0
+    while len(keys) < n:
+        key = f"trap-{i}".encode()
+        i += 1
+        fp, i1 = table._fp_and_index(key)
+        if i1 == table._alt_index(i1, fp) == 0 and fp not in fps:
+            keys.append(key)
+            fps.add(fp)
+    return keys
+
+
+MERGE_SEED, MERGE_CAPACITY, TRAP_CAPACITY = 23, 8, 5
+MERGED_KEYS = merged_pair(MERGE_SEED, MERGE_CAPACITY)
+TRAPPED_KEYS = trapped_keys(MERGE_SEED, TRAP_CAPACITY)
+
+
+def insert_loop(sketch, pairs, room=None):
+    """The per-record reference for insert_many: insert_duplicate of
+    each pair, with insert_many's stops and counts."""
+    table = sketch.membership
+    limit = None if room is None else table.occupied + room
+    merged = 0
+    for j, (key, value) in enumerate(pairs):
+        try:
+            sketch.insert_duplicate(key, value)
+        except BucketUnderflowError:
+            merged += 1
+        except TableFullError:
+            return j, merged, True
+        if limit is not None and table.occupied >= limit:
+            return j + 1, merged, False
+    return len(pairs), merged, False
+
+
+def sketch_snapshot(sketch):
+    """Everything later inserts depend on: buckets, wire bytes, cached
+    totals, occupancy and the kick-chain random stream."""
+    table = sketch.membership
+    return (sketch.state(), sketch.to_bytes(), bytes(table._vals), table.occupied,
+            table._rng.getstate())
+
+
+BATCH_KEYS = st.one_of(st.integers(0, 40).map(lambda i: f"b{i}".encode()),
+                       st.sampled_from(MERGED_KEYS), st.sampled_from(TRAPPED_KEYS))
+# up to 2**58: values past float64's exact range, whose running totals
+# still fit the table's 64-bit cache over a whole test
+ANY_VALUES = st.one_of(st.integers(0, 120), st.integers(0, 2**58))
+
+
+class TestInsertMany:
+    """insert_many ends exactly where an insert_duplicate loop ends."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prefill=st.lists(st.tuples(BATCH_KEYS, st.integers(0, 120), st.booleans()),
+                            max_size=12),
+           batches=st.lists(st.tuples(st.lists(st.tuples(BATCH_KEYS, ANY_VALUES), max_size=40),
+                                      st.one_of(st.none(), st.integers(-1, 12))),
+                            min_size=1, max_size=4),
+           flows=st.sampled_from([1, TRAP_CAPACITY, MERGE_CAPACITY, 20, 64]),
+           allocation=st.tuples(st.integers(1, 6), st.integers(1, 3)))
+    def test_equals_insert_duplicate_loop(self, prefill, batches, flows, allocation):
+        # small tables fill up: kick chains, chains that fail and the
+        # load cap all raise or run inside the batch; a wider first
+        # array lets a merged pair's buckets differ, so merges underflow
+        model = replace(two_center_model(), allocation=allocation)
+        sketches = [LssSketch(model, sum(allocation), hash_seed=MERGE_SEED,
+                              expected_flows=flows) for _ in range(2)]
+        for sketch in sketches:
+            for key, value, held_once in prefill:
+                try:
+                    if held_once:
+                        sketch.insert(key, value)
+                    else:
+                        sketch.insert_duplicate(key, value)
+                except (BucketUnderflowError, TableFullError):
+                    pass
+        batch_path, loop_path = sketches
+        for pairs, room in batches:
+            assert batch_path.insert_many(pairs, room) == insert_loop(loop_path, pairs, room)
+            assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
+
+    def test_merged_pair_is_one_flow(self):
+        first, second = MERGED_KEYS
+        batch_path, loop_path = (LssSketch(two_center_model(), 4, hash_seed=MERGE_SEED,
+                                           expected_flows=MERGE_CAPACITY) for _ in range(2))
+        pairs = [(first, 10), (second, 60), (second, 5)]
+        assert batch_path.insert_many(pairs) == insert_loop(loop_path, pairs)
+        assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
+        assert batch_path.cardinality() == batch_path.membership.occupied == 1
+
+    def test_kick_chains_reprobe_and_match(self):
+        # 200 flows into a table sized for 100: well past the point
+        # where both candidate buckets of a new flow are full
+        batch_path, loop_path = (LssSketch(uniform_model(3), 30, hash_seed=3, expected_flows=100)
+                                 for _ in range(2))
+        pairs = [(f"kick{i}".encode(), i % 70) for i in range(200)]
+        got = batch_path.insert_many(pairs)
+        assert got == insert_loop(loop_path, pairs)
+        assert got[2]  # the load cap stops both
+        assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
+
+    def test_failed_kick_chain_stops_before_its_record(self):
+        batch_path, loop_path = (LssSketch(two_center_model(), 4, hash_seed=MERGE_SEED,
+                                           expected_flows=TRAP_CAPACITY) for _ in range(2))
+        pairs = [(key, 9) for key in TRAPPED_KEYS] + [(b"after", 9)]
+        assert batch_path.insert_many(pairs) == insert_loop(loop_path, pairs) == (4, 0, True)
+        assert batch_path.membership.occupied == 4
+        assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
+
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_bad_value_rejected_before_any_change(self, bad):
+        sketch = LssSketch(two_center_model(), 4, hash_seed=2, expected_flows=16)
+        sketch.insert_duplicate(b"held", 7)
+        before = (sketch.state(), sketch.membership.to_bytes(), sketch.membership.occupied)
+        pairs = [(f"v{i}".encode(), 5) for i in range(7)]
+        pairs[bad] = (pairs[bad][0], -1)
+        with pytest.raises(InvalidInputError):
+            sketch.insert_many(pairs)
+        assert (sketch.state(), sketch.membership.to_bytes(),
+                sketch.membership.occupied) == before
+
+    def test_empty_batch(self):
+        sketch = LssSketch(two_center_model(), 4)
+        assert sketch.insert_many([]) == (0, 0, False)
+        assert sketch.cardinality() == 0
 
 
 class TestStatisticalProperties:

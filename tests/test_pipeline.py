@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -22,6 +23,7 @@ from flowsketch.lss import LssSketch
 from flowsketch.metrics import entropy_of_values
 from flowsketch.pipeline import (
     QUERY_TASKS,
+    FlowletBatch,
     IngestStage,
     SketchEnvelope,
     SketchStore,
@@ -206,6 +208,71 @@ class TestSketchingStage:
         assert ids == [0, 1, 2, 3]
 
 
+def envelope_fields(envelopes):
+    return [(e.payload, e.source, e.window_id, e.window_start, e.window_end) for e in envelopes]
+
+
+def assert_feed_batch_matches_feed(window, m, batches):
+    """feed_batch over each batch emits what feed emits over the
+    batch's records, and leaves the stage where feed leaves it."""
+    batch_stage, loop_stage = (SketchingStage(small_model(2), m, window, hash_seed=5)
+                               for _ in range(2))
+    got, want = [], []
+    for records, ts in batches:
+        got += batch_stage.feed_batch(FlowletBatch(tuple(records), 0, ts))
+        for key, value in records:
+            env = loop_stage.feed(key, value, ts=ts)
+            if env is not None:
+                want.append(env)
+    assert batch_stage.merged_flow_events == loop_stage.merged_flow_events
+    assert batch_stage._sketch.state() == loop_stage._sketch.state()
+    got.append(batch_stage.flush())
+    want.append(loop_stage.flush())
+    assert envelope_fields(filter(None, got)) == envelope_fields(filter(None, want))
+    return want
+
+
+class TestFeedBatch:
+    def test_sequence_window_rotates_mid_batch(self):
+        records = [(f"s{i}".encode(), i) for i in range(8)] + [(b"s1", 40)]
+        envelopes = assert_feed_batch_matches_feed(WindowConfig("sequence", 3), 4,
+                                                   [(records, 7), (records[:2], 9)])
+        assert [e.sketch().cardinality() for e in envelopes[:2]] == [3, 3]
+
+    def test_time_window_rolls_over_at_the_batch(self):
+        window = WindowConfig("time", 100)
+        batches = [([(b"a", 5), (b"b", 6)], 10), ([(b"a", 50)], 99), ([(b"c", 7), (b"a", 1)], 250)]
+        envelopes = assert_feed_batch_matches_feed(window, 4, batches)
+        assert [(e.window_start, e.window_end) for e in envelopes] == [(0, 100), (200, 300)]
+
+    def test_full_table_rotates_early_mid_batch(self, caplog):
+        # a time window at m = 2 sizes its table for 20 flows (30 fit)
+        records = [(f"f{i}".encode(), 3) for i in range(70)]
+        with caplog.at_level(logging.WARNING):
+            envelopes = assert_feed_batch_matches_feed(WindowConfig("time", 1 << 62), 2,
+                                                       [(records, 1)])
+        assert len(envelopes) >= 3
+        assert any("rotating early" in r.message for r in caplog.records)
+
+    def test_empty_batch_opens_no_window(self):
+        stage = SketchingStage(small_model(2), 4, WindowConfig("sequence", 3))
+        assert stage.feed_batch(FlowletBatch((), 0, 5)) == []
+        assert stage._window_start is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(batches=st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 45).map(
+               lambda i: f"k{i}".encode()), st.integers(0, 100)), max_size=40),
+               st.integers(0, 150)), max_size=5),
+           window=st.one_of(st.builds(WindowConfig, st.just("sequence"), st.integers(1, 8)),
+                            st.builds(WindowConfig, st.just("time"), st.integers(20, 400))),
+           m=st.integers(2, 4))
+    def test_any_batches_match_feed(self, batches, window, m):
+        # stamps only grow, as the ingest stage's do
+        stamps = list(itertools.accumulate(ts for _, ts in batches))
+        assert_feed_batch_matches_feed(window, m, [(records, ts) for (records, _), ts
+                                                   in zip(batches, stamps)])
+
+
 class TestEnvelope:
     def test_round_trip(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 2),
@@ -305,6 +372,33 @@ class TestSketchStore:
             envs = store.range(0, 10_000)
         assert [e.window_id for e in envs] == [0]
         assert any("trailing" in r.message for r in caplog.records)
+
+    def test_range_decodes_only_the_bodies_in_range(self, tmp_path, monkeypatch, caplog):
+        store = SketchStore(str(tmp_path / "store"))
+        self.put_envelopes(store, 3)  # arrival stamps 100, 200, 300
+        last = tmp_path / "store" / "s_00000002.env"
+        last.write_bytes(last.read_bytes()[:-4])  # a corrupt body outside the range
+        decoded = []
+        real = SketchEnvelope.__dict__["from_bytes"].__func__
+
+        def counting(cls, data):
+            decoded.append(data)
+            return real(cls, data)
+
+        monkeypatch.setattr(SketchEnvelope, "from_bytes", classmethod(counting))
+        with caplog.at_level(logging.WARNING):
+            assert [e.window_id for e in store.range(150, 250)] == [1]
+        assert len(decoded) == 1
+        assert not caplog.records
+
+    def test_bad_header_skipped_out_of_range_too(self, tmp_path, caplog):
+        store = SketchStore(str(tmp_path / "store"))
+        self.put_envelopes(store, 2)
+        first = tmp_path / "store" / "s_00000000.env"
+        first.write_bytes(first.read_bytes()[:SketchEnvelope._HEADER.size])  # no source name
+        with caplog.at_level(logging.WARNING):
+            assert [e.window_id for e in store.range(150, 250)] == [1]
+        assert any("truncated envelope source" in r.message for r in caplog.records)
 
     def test_envelope_file_alone_is_found(self, tmp_path):
         # what a put leaves if it stops right after its file is in place:

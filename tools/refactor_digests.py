@@ -6,9 +6,12 @@ leaves them byte-identical.
 Runs the CLI in-process in a temporary directory and prints one
 ``sha256  name`` line per output: the fixed-seed bench report, the five
 sensitivity sweeps, the model `train` writes for a generated trace, the
-`pipeline` summary, every stored sketch payload, and the five query
-reports over that store. Run it on both sides of a change and compare
-the lines.
+`pipeline` summary, every stored sketch payload, the five query
+reports over that store, and every payload of a second `pipeline` run
+on a time window. That window (25 ms of the 29 ms trace) holds more
+flows than the membership table takes, so the run rotates early once
+and then rolls over on time. Run it on both sides of a change and
+compare the lines.
 
 Payloads are hashed rather than the envelope files: an envelope's
 header carries the wall-clock time the store received it, so whole
@@ -24,6 +27,11 @@ import tempfile
 from flowsketch import cli
 from flowsketch.bench import SENSITIVITY_AXES
 from flowsketch.pipeline import QUERY_TASKS, SketchStore
+
+
+# nanoseconds: more than the 15,564 flows the m = 1,000 table takes
+# arrive in the first window of the seed-5 trace
+TIME_WINDOW_NS = 25_000_000
 
 
 def _sha(data: bytes) -> str:
@@ -61,15 +69,22 @@ def digests(work: str) -> list[tuple[str, str]]:
     _cli("train", trace, model)
     rows.append((_sha(read("model.json")), "train model (gen --seed 5 --flows 20000)"))
     rows.append((_sha(_cli("pipeline", trace, store, "--model", model)), "pipeline stdout"))
-    envelopes = sorted(SketchStore(store).range(0, 1 << 62),
-                       key=lambda e: (e.source, e.window_id))
-    for e in envelopes:
-        rows.append((_sha(e.payload),
-                     f"payload {e.source}/{e.window_id} [{e.window_start}, {e.window_end}]"))
+    rows.extend(_payloads(store, "payload"))
     for task in QUERY_TASKS:
         report = _cli("query", store, task, "--keys-from", trace, "--threshold", "50")
         rows.append((_sha(report), f"query {task}"))
+    timed = path("store-time")
+    _cli("pipeline", trace, timed, "--model", model, "--time-window-ns", str(TIME_WINDOW_NS))
+    rows.extend(_payloads(timed, f"payload --time-window-ns {TIME_WINDOW_NS}"))
     return rows
+
+
+def _payloads(store: str, label: str) -> list[tuple[str, str]]:
+    """(sha256, name) of every payload in a store, in window order."""
+    envelopes = sorted(SketchStore(store).range(0, 1 << 62),
+                       key=lambda e: (e.source, e.window_id))
+    return [(_sha(e.payload), f"{label} {e.source}/{e.window_id} [{e.window_start}, {e.window_end}]")
+            for e in envelopes]
 
 
 def main() -> None:
