@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .baselines import CmSketch, CsSketch, bank_hashes
-from .clustering import ClusterModel, InvalidInputError, int_value, train_model
+from .clustering import ClusterModel, InvalidInputError, train_model
 from .hashing import key_digests
-from .lss import BATCH, BucketUnderflowError, LssSketch, sketch_bytes
-from .membership import CuckooTable
+from .lss import BATCH, LssSketch, sketch_bytes
+from .membership import CuckooTable, TableFullError
 from .metrics import entropy_of_values, f1_score, precision_recall, relative_error
 from .traces import generate_packets, read_trace
 
@@ -174,20 +174,19 @@ def split_windows(records, window: int) -> list[list]:
 
 
 def _fill_lss(sketch: LssSketch, digests, replay) -> int:
-    """insert_duplicate of every record, under the key_digests of
-    totals' keys and _window_hashes' (values, key rows) replay; returns
-    how many increments landed on a fingerprint-merged flow (counted,
-    not fatal). The records' digests are gathered BATCH at a time, so
-    no window-long list of them is held."""
+    """insert_many of every record, under the key_digests of totals'
+    keys and _window_hashes' (values, key rows) replay; returns how many
+    increments landed on a fingerprint-merged flow (counted, not fatal).
+    The records go BATCH at a time, so no window-long list of their
+    digests is held."""
     values, rows = replay
     merged = 0
     for start in range(0, len(values), BATCH):
-        part = rows[start:start + BATCH]
-        for record in zip(values[start:start + BATCH], *(c[part].tolist() for c in digests)):
-            try:
-                sketch._insert_digested(*record)
-            except BucketUnderflowError:
-                merged += 1
+        part = slice(start, start + BATCH)
+        _, part_merged, full = sketch.insert_many(values[part], [c[rows[part]] for c in digests])
+        if full:
+            raise TableFullError(f"membership table full after {sketch.membership.occupied} flows")
+        merged += part_merged
     return merged
 
 
@@ -217,8 +216,8 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
 
 def _window_hashes(config: BenchmarkConfig, window_records, totals: dict[bytes, int]) -> tuple:
     """(bank hashes by key, or None without a baseline; key_digests of
-    totals' keys, and the records' checked values with each record's
-    row in those digests, or None twice without the clustered sketch).
+    totals' keys, and the records' values with each record's row in
+    those digests, or None twice without the clustered sketch).
     Each key is digested once."""
     banks = digests = replay = None
     if "cm" in config.sketches or "cs" in config.sketches:
@@ -228,7 +227,7 @@ def _window_hashes(config: BenchmarkConfig, window_records, totals: dict[bytes, 
         row_of = {key: i for i, key in enumerate(totals)}
         rows = np.fromiter((row_of[key] for key, _ in window_records), dtype=np.int64,
                            count=len(window_records))
-        replay = [int_value(value) for _, value in window_records], rows
+        replay = [value for _, value in window_records], rows
     return banks, digests, replay
 
 

@@ -23,12 +23,13 @@ import numpy as np
 
 from .clustering import (ClusterModel, InvalidInputError, allocate_buckets, assign_nearest,
                          int_value, nearest_center)
-from .hashing import key_digest, key_digests
+from .hashing import key_digest
 from .membership import SLOTS_PER_BUCKET, CuckooTable, TableFullError
 
 MAX_CLUSTERS = 256  # the serialized cluster index is a single byte
 COUNTER_FORMATS = {16: "H", 32: "I", 64: "Q"}  # counter width -> struct code on the wire
 BATCH = 1024  # keys per numpy pass of LssSketch.buckets
+MAX_TOTAL = (1 << 64) - 1  # the membership table caches a flow's running total as a uint64
 
 
 class KeyNotFoundError(KeyError):
@@ -50,6 +51,15 @@ def sketch_bytes(m: int, k: int, counter_width: int) -> int:
     A closed window costs this plus its squeezed table's
     CuckooTable.memory_bytes()."""
     return m * 2 * (counter_width // 8) + k * 4
+
+
+def _checked(value) -> int:
+    """int_value of an insert value that the membership table can cache:
+    one of 2**64 or more raises InvalidInputError."""
+    value = int_value(value)
+    if value > MAX_TOTAL:
+        raise InvalidInputError(f"value {value} does not fit the 64-bit running total")
+    return value
 
 
 def check_layout(centers, allocation, m: int, counter_width: int = 32) -> None:
@@ -105,6 +115,17 @@ class LssSketch:
         self.membership = membership
         self.saturated = False
 
+    def _position(self, cluster: int, bucket_h: int) -> int:
+        """Flat position of the bucket that a key with bucket hash
+        bucket_h owns in array `cluster`."""
+        return self._offsets[cluster] + bucket_h % self.allocation[cluster]
+
+    def _positions(self, clusters: np.ndarray, bucket_hs: np.ndarray) -> np.ndarray:
+        """_position over arrays of clusters and bucket hashes, in uint64
+        throughout: uint64 % int64 would promote to float64."""
+        alloc = np.asarray(self.allocation, dtype=np.uint64)
+        return np.asarray(self._offsets, dtype=np.uint64)[clusters] + bucket_hs % alloc[clusters]
+
     # -- inserts ---------------------------------------------------------
 
     def _place(self, bucket_h: int, fp: int, idx_h: int, value: int, miss: int) -> None:
@@ -114,7 +135,7 @@ class LssSketch:
         buckets untouched."""
         i = nearest_center(self.centers, value)
         self.membership._insert_fp(fp, idx_h, i, value, miss)
-        pos = self._offsets[i] + bucket_h % self.allocation[i]
+        pos = self._position(i, bucket_h)
         self._val_sums[pos] += value
         self._key_counts[pos] += 1
 
@@ -126,7 +147,7 @@ class LssSketch:
         fingerprint merge, so this path does not look. Send every
         increment of a key that can repeat through insert_duplicate.
         """
-        value = int_value(value)
+        value = _checked(value)
         bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
         self._place(bucket_h, fp, idx_h, value, self.membership._open_slot(fp, idx_h))
 
@@ -137,12 +158,11 @@ class LssSketch:
         cached in the membership table. A seen flow adds the increment
         to its current bucket, then migrates its whole total to another
         array when the total has moved closer to a different center.
+        A value, or a running total, of 2**64 or more raises
+        InvalidInputError before anything changes.
         """
-        value = int_value(value)
-        self._insert_digested(value, *key_digest(key, self.hash_seed))
-
-    def _insert_digested(self, value: int, bucket_h: int, fp: int, idx_h: int) -> None:
-        """insert_duplicate of a checked value under its key's digest."""
+        value = _checked(value)
+        bucket_h, fp, idx_h = key_digest(key, self.hash_seed)
         slot = self.membership._find_slot(fp, idx_h)
         if slot < 0:
             self._place(bucket_h, fp, idx_h, value, slot)
@@ -152,14 +172,17 @@ class LssSketch:
     def _add_to_held(self, slot: int, bucket_h: int, value: int) -> None:
         """Add an increment to the flow held in membership slot `slot`:
         count it in the flow's bucket, then migrate the flow's total when
-        it has moved closer to another center."""
+        it has moved closer to another center. A total past MAX_TOTAL
+        raises InvalidInputError before any write."""
         table = self.membership
         old, cached = table._read(slot)
         if cached is None:
             raise RuntimeError("cannot insert into a closed (squeezed) window")
         total = cached + value
+        if total > MAX_TOTAL:
+            raise InvalidInputError(f"running total {total} does not fit 64 bits")
         vals = self._val_sums
-        pos_old = self._offsets[old] + bucket_h % self.allocation[old]
+        pos_old = self._position(old, bucket_h)
         vals[pos_old] += value
         new = nearest_center(self.centers, total)
         if new != old:
@@ -173,16 +196,20 @@ class LssSketch:
                 )
             vals[pos_old] -= total
             counts[pos_old] -= 1
-            pos_new = self._offsets[new] + bucket_h % self.allocation[new]
+            pos_new = self._position(new, bucket_h)
             vals[pos_new] += total
             counts[pos_new] += 1
         table._write(slot, new, total)
 
-    def insert_many(self, pairs, room: int | None = None) -> tuple[int, int, bool]:
-        """insert_duplicate of each (key, value) pair, in order, in one
-        batch pass; the sketch ends exactly as that loop leaves it, its
-        table layout and kick-chain draws included. Every value is
-        checked before anything changes.
+    def insert_many(self, values, digests, room: int | None = None) -> tuple[int, int, bool]:
+        """insert_duplicate of each record, in order, in one batch pass:
+        values[j] under the key whose key_digests(keys, hash_seed) entry
+        is digests' j-th, as buckets takes them. The sketch ends exactly
+        as that loop leaves it, its table layout and kick-chain draws
+        included. A bad value (InvalidInputError) or digests whose
+        lengths differ from values' (ValueError) raise before anything
+        changes; a running total past MAX_TOTAL raises InvalidInputError
+        at its record, as the loop does.
 
         Returns (consumed, merged, full). merged counts the increments
         that raised BucketUnderflowError in the loop; here they are
@@ -192,31 +219,32 @@ class LssSketch:
         the table full (full is then True and that record is not
         consumed; the table is as TableFullError leaves it).
 
-        Why the pass is exact: the keys are digested with key_digests
-        and probed against a snapshot of the table in numpy, giving each
-        record's hit slot, and new flows are routed with assign_nearest
-        (exact for values below 2**53; nearest_center above). The table
-        never deletes, so a bucket's occupied slots are a prefix and a
-        miss's free slot is its first candidate bucket's base plus that
-        bucket's live fill count, or the second's. A snapshot answer
-        goes stale only when the pass has added the same fingerprint to
-        the record's bucket pair, or a kick chain wrote to one of the
-        record's two buckets; only those records are probed again, with
-        _find_slot.
+        Why the pass is exact: the digests are probed against a snapshot
+        of the table in numpy, giving each record's hit slot, and new
+        flows are routed with assign_nearest (exact for values below
+        2**53; nearest_center above). The table never deletes, so a
+        bucket's occupied slots are a prefix and a miss's free slot is
+        its first candidate bucket's base plus that bucket's live fill
+        count, or the second's. A snapshot answer goes stale only when
+        the pass has added the same fingerprint to the record's bucket
+        pair, or a kick chain wrote to one of the record's two buckets;
+        only those records are probed again, with _find_slot.
         """
-        values = [int_value(v) for _, v in pairs]
+        values = [int_value(v) for v in values]
+        bucket_hs, fps, idx_hs = digests
+        if not len(bucket_hs) == len(fps) == len(idx_hs) == len(values):
+            raise ValueError(f"{len(values)} values, digests of {[len(c) for c in digests]}")
         if not values:
             return 0, 0, False
         table = self.membership
-        bucket_hs, fps, idx_hs = key_digests([k for k, _ in pairs], self.hash_seed)
         i1s, i2s = table._buckets_of(fps, idx_hs)
         pair_ids = (fps << np.uint64(32)) | np.minimum(i1s, i2s)  # the fp and its bucket pair
-        if max(values) < 1 << 53:  # float64 holds the value exactly
+        top = _checked(max(values))  # one bound check for the whole batch
+        if top < 1 << 53:  # float64 holds the value exactly
             clusters = assign_nearest(self.centers, values)
         else:
             clusters = np.asarray([nearest_center(self.centers, v) for v in values])
-        alloc = np.asarray(self.allocation, dtype=np.uint64)
-        positions = np.asarray(self._offsets, dtype=np.uint64)[clusters] + bucket_hs % alloc[clusters]
+        positions = self._positions(clusters, bucket_hs)
         snapshot = table._find_slots(fps, idx_hs).tolist()
         fill = table._fills()
         nslots = len(fill) * SLOTS_PER_BUCKET
@@ -269,8 +297,7 @@ class LssSketch:
         hit = self.membership._lookup_fp(fp, idx_h)
         if hit is None:
             return None
-        i = hit[0]
-        pos = self._offsets[i] + bucket_h % self.allocation[i]
+        pos = self._position(hit[0], bucket_h)
         count = self._key_counts[pos]
         if count == 0:
             return None
@@ -306,15 +333,12 @@ class LssSketch:
         lists, so they stay exact ints. Single-key reads stay on
         _bucket: a numpy batch of one costs many times a scalar lookup."""
         bucket_hs, fps, idx_hs = digests
-        # uint64 throughout: uint64 % int64 would promote to float64
-        alloc = np.asarray(self.allocation, dtype=np.uint64)
-        offsets = np.asarray(self._offsets, dtype=np.uint64)
         vals, counts = self._val_sums, self._key_counts
         for start in range(0, len(fps), BATCH):
             part = slice(start, start + BATCH)
             clusters = self.membership._lookup_fps(fps[part], idx_hs[part])
             routed = np.maximum(clusters, 0)  # a miss's position is computed, never read
-            positions = offsets[routed] + bucket_hs[part] % alloc[routed]
+            positions = self._positions(routed, bucket_hs[part])
             for cluster, pos in zip(clusters.tolist(), positions.tolist()):
                 count = counts[pos] if cluster >= 0 else 0
                 yield (vals[pos], count) if count else None

@@ -193,7 +193,8 @@ class SketchingStage:
             # fingerprint-merged flows stay merged; accounted, not fatal
             self.merged_flow_events += 1
         except TableFullError:
-            envelope = self._rotate_early(key, value, ts)
+            envelope = self._rotate_early(ts)
+            self._sketch.insert_duplicate(key, value)
         if (envelope is None and self.window.mode == "sequence"
                 and self._sketch.membership.occupied >= self.window.capacity):
             envelope = self._rotate(None)
@@ -202,8 +203,12 @@ class SketchingStage:
     def feed_batch(self, batch: FlowletBatch) -> list[SketchEnvelope]:
         """feed() of each of the batch's records in order, with the same
         envelopes and end state, through LssSketch.insert_many: one pass
-        per run of records that one window takes. Every record carries
-        the batch's stamp, so the time roll-over is checked once."""
+        per run of records that one window takes, under one key_digests
+        of the batch's keys. Every record carries the batch's stamp, so
+        the time roll-over is checked once. The record that finds a table
+        full opens the next window's run; one record leaves a fresh
+        window below its capacity (a one-flow window's table never fills),
+        so the window-size check that feed() skips after it cannot fire."""
         records, ts = batch.records, batch.emitted_at
         if not records:
             return []
@@ -213,31 +218,30 @@ class SketchingStage:
             envelopes.append(self._rotate(self._window_start_of(ts)))
         self._last_ts = ts
         sequence = self.window.mode == "sequence"
+        keys, values = zip(*records)
+        digests = key_digests(keys, self.hash_seed)
         done = 0
         while done < len(records):
             if self._window_start is None:
                 self._window_start = self._window_start_of(ts)
             table = self._sketch.membership
             room = self.window.capacity - table.occupied if sequence else None
-            consumed, merged, full = self._sketch.insert_many(records[done:], room)
+            consumed, merged, full = self._sketch.insert_many(
+                values[done:], [c[done:] for c in digests], room)
             self.merged_flow_events += merged
             done += consumed
             if full:
-                # feed() skips the window-size check after an early rotation
-                envelopes.append(self._rotate_early(*records[done], ts))
-                done += 1
+                envelopes.append(self._rotate_early(ts))
             elif sequence and table.occupied >= self.window.capacity:
                 envelopes.append(self._rotate(None))
         return envelopes
 
-    def _rotate_early(self, key: bytes, value: int, ts: int) -> SketchEnvelope:
-        """Close a window whose membership table is full, and insert the
-        record that found it full into the next one."""
+    def _rotate_early(self, ts: int) -> SketchEnvelope:
+        """Close a window whose membership table is full; the record at ts
+        that found it full opens the next one."""
         log.warning("membership table full on %s window %d; rotating early",
                     self.source, self._window_id)
-        envelope = self._rotate(self._window_start_of(ts))
-        self._sketch.insert_duplicate(key, value)
-        return envelope
+        return self._rotate(self._window_start_of(ts))
 
     def flush(self) -> SketchEnvelope | None:
         """Close the open window even if it is not full; None if empty."""

@@ -17,7 +17,7 @@ from flowsketch.bench import (
 )
 from flowsketch.clustering import ClusterModel, InvalidInputError
 from flowsketch.hashing import key_digests
-from flowsketch.lss import KeyNotFoundError, LssSketch
+from flowsketch.lss import BucketUnderflowError, KeyNotFoundError, LssSketch
 from flowsketch.traces import (
     TracePacket,
     gen_trace,
@@ -215,6 +215,28 @@ class TestRunBenchmark:
         report = run_benchmark(BenchmarkConfig(ratios=(0.1,), seed=55, sketches=("lss",)))
         (row,) = report["rows"]
         assert row["heavy_hitters"]["f1"] >= 0.95
+
+
+class TestClusteredFill:
+    def test_fill_equals_insert_duplicate_loop(self):
+        # seed 90's window at ratio 0.01 lands an increment on a
+        # fingerprint-merged flow, which the fill counts and goes past
+        config = BenchmarkConfig(ratios=(0.01,), seed=90, sketches=("lss",))
+        records, totals = load_records(config)
+        model, m = bench.fit_model(config, training_samples(records, config.train_samples), 0.01)
+        _, digests, replay = bench._window_hashes(config, records, totals)
+        fill, loop = (LssSketch(model, m, hash_seed=90, expected_flows=config.window)
+                      for _ in range(2))
+        merged = 0
+        for key, value in records:
+            try:
+                loop.insert_duplicate(key, value)
+            except BucketUnderflowError:
+                merged += 1
+        assert bench._fill_lss(fill, digests, replay) == merged == 1
+        assert fill.state() == loop.state()
+        assert fill.to_bytes() == loop.to_bytes()
+        assert bytes(fill.membership._vals) == bytes(loop.membership._vals)
 
 
 class TestDeterminism:

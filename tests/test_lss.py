@@ -499,6 +499,13 @@ def insert_loop(sketch, pairs, room=None):
     return len(pairs), merged, False
 
 
+def insert_batch(sketch, pairs, room=None):
+    """insert_many of (key, value) pairs, under the keys' key_digests
+    with the sketch's hash seed."""
+    return sketch.insert_many([value for _, value in pairs],
+                              key_digests([key for key, _ in pairs], sketch.hash_seed), room)
+
+
 def sketch_snapshot(sketch):
     """Everything later inserts depend on: buckets, wire bytes, cached
     totals, occupancy and the kick-chain random stream."""
@@ -543,7 +550,7 @@ class TestInsertMany:
                     pass
         batch_path, loop_path = sketches
         for pairs, room in batches:
-            assert batch_path.insert_many(pairs, room) == insert_loop(loop_path, pairs, room)
+            assert insert_batch(batch_path, pairs, room) == insert_loop(loop_path, pairs, room)
             assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
 
     def test_merged_pair_is_one_flow(self):
@@ -551,7 +558,7 @@ class TestInsertMany:
         batch_path, loop_path = (LssSketch(two_center_model(), 4, hash_seed=MERGE_SEED,
                                            expected_flows=MERGE_CAPACITY) for _ in range(2))
         pairs = [(first, 10), (second, 60), (second, 5)]
-        assert batch_path.insert_many(pairs) == insert_loop(loop_path, pairs)
+        assert insert_batch(batch_path, pairs) == insert_loop(loop_path, pairs)
         assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
         assert batch_path.cardinality() == batch_path.membership.occupied == 1
 
@@ -561,7 +568,7 @@ class TestInsertMany:
         batch_path, loop_path = (LssSketch(uniform_model(3), 30, hash_seed=3, expected_flows=100)
                                  for _ in range(2))
         pairs = [(f"kick{i}".encode(), i % 70) for i in range(200)]
-        got = batch_path.insert_many(pairs)
+        got = insert_batch(batch_path, pairs)
         assert got == insert_loop(loop_path, pairs)
         assert got[2]  # the load cap stops both
         assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
@@ -570,7 +577,7 @@ class TestInsertMany:
         batch_path, loop_path = (LssSketch(two_center_model(), 4, hash_seed=MERGE_SEED,
                                            expected_flows=TRAP_CAPACITY) for _ in range(2))
         pairs = [(key, 9) for key in TRAPPED_KEYS] + [(b"after", 9)]
-        assert batch_path.insert_many(pairs) == insert_loop(loop_path, pairs) == (4, 0, True)
+        assert insert_batch(batch_path, pairs) == insert_loop(loop_path, pairs) == (4, 0, True)
         assert batch_path.membership.occupied == 4
         assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
 
@@ -582,14 +589,74 @@ class TestInsertMany:
         pairs = [(f"v{i}".encode(), 5) for i in range(7)]
         pairs[bad] = (pairs[bad][0], -1)
         with pytest.raises(InvalidInputError):
-            sketch.insert_many(pairs)
+            insert_batch(sketch, pairs)
         assert (sketch.state(), sketch.membership.to_bytes(),
                 sketch.membership.occupied) == before
 
     def test_empty_batch(self):
         sketch = LssSketch(two_center_model(), 4)
-        assert sketch.insert_many([]) == (0, 0, False)
+        assert insert_batch(sketch, []) == (0, 0, False)
         assert sketch.cardinality() == 0
+
+    @pytest.mark.parametrize("short", [0, 1, 2, None], ids=["bucket", "fp", "index", "all"])
+    def test_short_digests_rejected_before_any_change(self, short):
+        sketch = LssSketch(two_center_model(), 4, hash_seed=2, expected_flows=16)
+        sketch.insert_duplicate(b"held", 7)
+        before = sketch_snapshot(sketch)
+        digests = key_digests([b"held", b"new", b"other"], 2)
+        digests = [c[:-1] if short in (i, None) else c for i, c in enumerate(digests)]
+        with pytest.raises(ValueError, match="values, digests of"):
+            sketch.insert_many([5, 5, 5], digests)
+        assert sketch_snapshot(sketch) == before
+
+
+class TestSixtyFourBitTotals:
+    """The membership table caches a flow's running total in 64 bits: a
+    value or a total of 2**64 or more raises InvalidInputError before
+    any write, on every insert path."""
+
+    def sketch(self):
+        return LssSketch(single_cluster_model(), 4, hash_seed=6, expected_flows=16)
+
+    @pytest.mark.parametrize("path", ["insert", "insert_duplicate"])
+    def test_new_flow_value_rejected(self, path):
+        sketch = self.sketch()
+        before = sketch_snapshot(sketch)
+        with pytest.raises(InvalidInputError, match="64"):
+            getattr(sketch, path)(b"k", 2**64)
+        assert sketch_snapshot(sketch) == before
+        sketch.insert_duplicate(b"k", 5)  # no fingerprint left behind to hit
+        assert sketch.cardinality() == sketch.membership.occupied == 1
+        assert sketch.query(b"k") == 5.0
+
+    def test_batch_value_rejected(self):
+        sketch = self.sketch()
+        sketch.insert_duplicate(b"held", 7)
+        before = sketch_snapshot(sketch)
+        with pytest.raises(InvalidInputError, match="64"):
+            insert_batch(sketch, [(b"a", 1), (b"b", 2**64), (b"c", 3)])
+        assert sketch_snapshot(sketch) == before
+
+    def test_held_total_rejected(self):
+        sketch = self.sketch()
+        sketch.insert_duplicate(b"k", 2**64 - 1)
+        before = sketch_snapshot(sketch)
+        with pytest.raises(InvalidInputError, match="64"):
+            sketch.insert_duplicate(b"k", 1)
+        assert sketch_snapshot(sketch) == before
+        sketch.insert_duplicate(b"k", 0)  # the cache still agrees with the bucket
+        assert sketch.query_exact(b"k") == 2**64 - 1
+
+    def test_batch_stops_at_the_loops_record(self):
+        batch_path, loop_path = self.sketch(), self.sketch()
+        pairs = [(b"x", 1), (b"k", 5), (b"k", 2**64 - 6), (b"y", 2)]
+        for sketch, fill in ((batch_path, insert_batch), (loop_path, insert_loop)):
+            sketch.insert_duplicate(b"k", 1)
+            with pytest.raises(InvalidInputError, match="64"):
+                fill(sketch, pairs)
+        assert sketch_snapshot(batch_path) == sketch_snapshot(loop_path)
+        assert batch_path.cardinality() == 2  # x and k, not y
+        assert batch_path.total_value() == 7
 
 
 class TestStatisticalProperties:

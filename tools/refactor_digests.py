@@ -4,14 +4,15 @@ leaves them byte-identical.
     PYTHONPATH=src python tools/refactor_digests.py
 
 Runs the CLI in-process in a temporary directory and prints one
-``sha256  name`` line per output: the fixed-seed bench report, the five
-sensitivity sweeps, the model `train` writes for a generated trace, the
-`pipeline` summary, every stored sketch payload, the five query
-reports over that store, and every payload of a second `pipeline` run
-on a time window. That window (25 ms of the 29 ms trace) holds more
-flows than the membership table takes, so the run rotates early once
-and then rolls over on time. Run it on both sides of a change and
-compare the lines.
+``sha256  name`` line per output: the fixed-seed bench reports at seed
+1 and at seed 90 (whose clustered-sketch fill lands increments on a
+fingerprint-merged flow), the five sensitivity sweeps, the model
+`train` writes for a generated trace, the `pipeline` summary, every
+stored sketch payload, the five query reports over that store, and
+every payload of a second `pipeline` run on a time window. That window
+(25 ms of the 29 ms trace) holds more flows than the membership table
+takes, so the run rotates early once and then rolls over on time. Run
+it on both sides of a change and compare the lines.
 
 Payloads are hashed rather than the envelope files: an envelope's
 header carries the wall-clock time the store received it, so whole
@@ -59,8 +60,10 @@ def digests(work: str) -> list[tuple[str, str]]:
             return fh.read()
 
     rows = []
-    _cli("bench", "--ratios", "0.001", "0.01", "0.1", "--seed", "1", "--out", path("bench.json"))
-    rows.append((_sha(read("bench.json")), "bench --ratios 0.001 0.01 0.1 --seed 1"))
+    for seed in ("1", "90"):
+        _cli("bench", "--ratios", "0.001", "0.01", "0.1", "--seed", seed,
+             "--out", path("bench.json"))
+        rows.append((_sha(read("bench.json")), f"bench --ratios 0.001 0.01 0.1 --seed {seed}"))
     for axis in SENSITIVITY_AXES:
         _cli("sweep", axis, "--seed", "1", "--out", path(f"sweep-{axis}.json"))
         rows.append((_sha(read(f"sweep-{axis}.json")), f"sweep {axis} --seed 1"))
