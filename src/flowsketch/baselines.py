@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clustering import int_value
+from .clustering import InvalidInputError, int_value
 from .hashing import bank_hash
 
 
@@ -39,10 +39,16 @@ class _Banks:
     """c banks of m // c counters; a key's counter in bank j is at its
     j-th index hash modulo the bank width, and a signed sketch adds to
     it and reads it times the key's j-th sign. Each subclass combines
-    the reads. Its keyed insert and query hash the key with bank_hashes
-    and call the *_hashed forms, which a caller that meets a key many
-    times can use directly; they sit in each subclass's own body
-    because perfbench's tracer wraps them class by class."""
+    the reads.
+
+    Two paths fill and read the same counters. The keyed path (insert
+    and query, which hash the key with bank_hashes and call the *_hashed
+    forms) is the reference: one key at a time, in Python ints. The
+    batch path takes a batch's bank_digests arrays: insert_many fills
+    each bank with one np.add.at on int64, query_many reads every bank
+    with one fancy index, and both end where the keyed path would, the
+    estimates equal in value and in Python type. insert_many refuses a
+    batch that could take a counter to 2**63, so int64 stays exact."""
 
     signed = False
 
@@ -70,6 +76,43 @@ class _Banks:
         return [sign * bank[idx % width] if signed else bank[idx % width]
                 for bank, (idx, sign) in zip(self.banks, hashes, strict=True)]
 
+    def insert_many(self, hashes, values) -> None:
+        """insert() of values[i] under key i of bank_digests(keys, seed,
+        c). Each raises before any write: a value insert() rejects,
+        hashes of another bank count or key count (ValueError), and a
+        batch whose values sum, with the largest counter held, to 2**63
+        or more (InvalidInputError), since no counter moves by more than
+        the values' sum."""
+        values = [int_value(v) for v in values]
+        cols, signs = self._columns(hashes)
+        if cols.shape[1] != len(values):
+            raise ValueError(f"{len(values)} values, bank hashes of {cols.shape[1]} keys")
+        total = sum(values)
+        if total + max(abs(v) for bank in self.banks for v in bank) >= 1 << 63:
+            raise InvalidInputError(f"a batch of total {total} could take a counter "
+                                    "past the int64 range")
+        banks = np.array(self.banks, dtype=np.int64)
+        values = np.array(values, dtype=np.int64)
+        for bank, col, sign in zip(banks, cols, signs):
+            np.add.at(bank, col, sign * values if self.signed else values)
+        self.banks = banks.tolist()
+
+    def _columns(self, hashes) -> tuple[np.ndarray, np.ndarray]:
+        """bank_digests' (indices, signs) as each key's counter column
+        in every bank, and the signs; hashes of another bank count raise
+        ValueError."""
+        indices, signs = hashes
+        if indices.ndim != 2 or len(indices) != self.c or signs.shape != indices.shape:
+            raise ValueError(f"bank hashes of shape {indices.shape} and {signs.shape} "
+                             f"for {self.c} banks")
+        return (indices % np.uint64(self.width)).astype(np.intp), signs
+
+    def _reads_many(self, hashes) -> np.ndarray:
+        """_reads of every key of bank_digests, as a (c, n) int64 array."""
+        cols, signs = self._columns(hashes)
+        reads = np.array(self.banks, dtype=np.int64)[np.arange(self.c)[:, None], cols]
+        return reads * signs if self.signed else reads
+
 
 class CmSketch(_Banks):
     """Count-Min: c banks of m/c counters, query = min of mapped counters."""
@@ -82,6 +125,10 @@ class CmSketch(_Banks):
 
     def query_hashed(self, hashes) -> int:
         return min(self._reads(hashes))
+
+    def query_many(self, hashes) -> list[int]:
+        """query() of every key of bank_digests, in key order."""
+        return self._reads_many(hashes).min(axis=0).tolist()
 
 
 class CsSketch(_Banks):
@@ -109,6 +156,15 @@ class CsSketch(_Banks):
 
     def query_hashed(self, hashes) -> float:
         return max(0.0, self.query_raw_hashed(hashes))
+
+    def _raw_many(self, hashes) -> np.ndarray:
+        """query_raw() of every key of bank_digests: median_low of c
+        reads is the sorted row (c - 1) // 2."""
+        return np.sort(self._reads_many(hashes), axis=0)[(self.c - 1) // 2].astype(np.float64)
+
+    def query_many(self, hashes) -> list[float]:
+        """query() of every key of bank_digests, in key order."""
+        return np.maximum(0.0, self._raw_many(hashes)).tolist()
 
 
 def expected_noisy_fraction(m: int, n: int, c: int = 1) -> float:

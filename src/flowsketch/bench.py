@@ -17,12 +17,13 @@ seed.
 import json
 import time
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import CmSketch, CsSketch, bank_hashes
+from .baselines import CmSketch, CsSketch
 from .clustering import ClusterModel, InvalidInputError, train_model
-from .hashing import key_digests
+from .hashing import bank_digests, key_digests
 from .lss import BATCH, LssSketch, sketch_bytes
 from .membership import CuckooTable, TableFullError
 from .metrics import entropy_of_values, f1_score, precision_recall, relative_error
@@ -112,21 +113,45 @@ def fit_model(config: BenchmarkConfig, samples, ratio: float) -> tuple[ClusterMo
     return model.with_allocation(m, policy=config.allocation_policy), m
 
 
-def _evaluate(name: str, estimates: list, totals: dict[bytes, int], memory_bytes: int,
-              hh_threshold: float, extra: dict | None = None) -> dict:
-    """Score one sketch's estimates, given in the order of totals' keys.
-    A true heavy hitter's total exceeds hh_threshold."""
+class _WindowTruth(NamedTuple):
+    """A window's exact answers, built once by _window_truth and shared
+    by every (ratio, sketch) score. Flows are in the order of the
+    totals dict it was built from."""
+    totals: list[int]
+    positive: np.ndarray    # the flows with a relative error: total > 0
+    sizes: np.ndarray       # their totals as float64, exact below 2**53
+    hitters: set[int]       # rows whose total exceeds hh_threshold
+    entropy: float
+    hh_threshold: float
+
+
+def _window_truth(totals: dict[bytes, int], hh_threshold: float) -> _WindowTruth:
+    """The exact answers _evaluate scores against. A true heavy
+    hitter's total exceeds hh_threshold; the entropy sums in the
+    totals' first-seen order, as entropy_of_values does."""
+    values = list(totals.values())
+    sizes = np.array(values, dtype=np.float64)
+    positive = sizes > 0
+    return _WindowTruth(values, positive, sizes[positive],
+                        set(np.flatnonzero(sizes > hh_threshold).tolist()),
+                        entropy_of_values(values), hh_threshold)
+
+
+def _evaluate(name: str, estimates: list, truth: _WindowTruth, memory_bytes: int,
+              extra: dict | None = None) -> dict:
+    """Score one sketch's estimates, given in the order of the truth's
+    flows. Each relative error is |total - estimate| / total in float64,
+    the float relative_error gives for totals and estimates below 2**53."""
+    est = np.asarray(estimates, dtype=np.float64)
     # a 0-byte flow has no relative error; it still counts below
-    rel = np.fromiter((relative_error(total, est) for total, est in zip(totals.values(), estimates)
-                       if total > 0), dtype=np.float64)
-    true_hh = {k for k, total in totals.items() if total > hh_threshold}
-    pred_hh = {k for k, e in zip(totals, estimates) if e > hh_threshold}
-    precision, recall = precision_recall(true_hh, pred_hh)
-    true_entropy = entropy_of_values(totals.values())
+    rel = np.abs(truth.sizes - est[truth.positive]) / truth.sizes
+    hh_threshold = truth.hh_threshold
+    pred_hh = set(np.flatnonzero(est > hh_threshold).tolist())
+    precision, recall = precision_recall(truth.hitters, pred_hh)
     est_entropy = entropy_of_values(estimates)
     # a window whose flows all have one size has entropy 0, where the
     # relative error is undefined: its figure is the absolute error
-    entropy_error = (relative_error(true_entropy, est_entropy) if true_entropy > 0
+    entropy_error = (relative_error(truth.entropy, est_entropy) if truth.entropy > 0
                      else abs(est_entropy))
     row = {
         "sketch": name,
@@ -140,10 +165,10 @@ def _evaluate(name: str, estimates: list, totals: dict[bytes, int], memory_bytes
         "entropy_re": entropy_error,
         "heavy_hitters": {
             "threshold": hh_threshold,
-            "true_count": len(true_hh),
+            "true_count": len(truth.hitters),
             "precision": precision,
             "recall": recall,
-            "f1": f1_score(true_hh, pred_hh),
+            "f1": f1_score(truth.hitters, pred_hh),
         },
     }
     if extra:
@@ -196,14 +221,15 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
     {sketch: row} per fit. A window without a flow of positive total
     has no flow-size error to score and raises InvalidInputError.
 
-    The window's exact totals (in first-seen order), and its keys'
-    hashes, are built once here and shared by every ratio, so at most
-    one window's hashes are held at a time. The clustered sketch replays
-    the records under their keys' digests, since its incremental path
-    (migrations, merged-flow events) is part of what is scored, and is
-    read back in one batch; Count-Min and
-    Count-Sketch are linear, so inserting each flow's total leaves the
-    same counters as replaying its fragments."""
+    The window's exact totals (in first-seen order), its _window_truth
+    and its keys' hashes are built once here and shared by every ratio,
+    so at most one window's hashes are held at a time. The clustered
+    sketch replays the records under their keys' digests, since its
+    incremental path (migrations, merged-flow events) is part of what
+    is scored, and is read back in one batch; Count-Min and
+    Count-Sketch are linear, so one batch insert of each flow's total
+    leaves the same counters as replaying its fragments, and one batch
+    query reads them back."""
     totals: dict[bytes, int] = {}
     for key, value in window_records:
         totals[key] = totals.get(key, 0) + value
@@ -211,17 +237,18 @@ def _run_window(config: BenchmarkConfig, fits, index: int, window_records,
         raise InvalidInputError(f"window {index} has no flow with a positive total: "
                                 "its flow-size relative error is undefined")
     hashes = _window_hashes(config, window_records, totals)
-    return [_score_fit(config, fit, totals, hashes, hh_threshold) for fit in fits]
+    truth = _window_truth(totals, hh_threshold)
+    return [_score_fit(config, fit, hashes, truth) for fit in fits]
 
 
 def _window_hashes(config: BenchmarkConfig, window_records, totals: dict[bytes, int]) -> tuple:
-    """(bank hashes by key, or None without a baseline; key_digests of
-    totals' keys, and the records' values with each record's row in
-    those digests, or None twice without the clustered sketch).
-    Each key is digested once."""
+    """(bank_digests of totals' keys, or None without a baseline;
+    key_digests of totals' keys, and the records' values with each
+    record's row in those digests, or None twice without the clustered
+    sketch). Each key is hashed once per bank and digested once."""
     banks = digests = replay = None
     if "cm" in config.sketches or "cs" in config.sketches:
-        banks = {key: bank_hashes(key, config.seed, BANKS) for key in totals}
+        banks = bank_digests(totals, config.seed, BANKS)
     if "lss" in config.sketches:
         digests = key_digests(totals, config.seed)
         row_of = {key: i for i, key in enumerate(totals)}
@@ -231,13 +258,12 @@ def _window_hashes(config: BenchmarkConfig, window_records, totals: dict[bytes, 
     return banks, digests, replay
 
 
-def _score_fit(config: BenchmarkConfig, fit, totals: dict[bytes, int], hashes: tuple,
-               hh_threshold: float) -> dict:
+def _score_fit(config: BenchmarkConfig, fit, hashes: tuple, truth: _WindowTruth) -> dict:
     """Fill and score every configured sketch at one fit, one sketch at
     a time, in SKETCH_KINDS order, from _window_hashes' hashes."""
     banks, digests, replay = hashes
     model, m = fit
-    n_flows = len(totals)
+    n_flows = len(truth.totals)
     # every structure additionally needs key tracking to answer the
     # query tasks, so all of them carry the squeezed membership table
     # of a window-sized clustered sketch, whether or not that sketch is
@@ -265,12 +291,12 @@ def _score_fit(config: BenchmarkConfig, fit, totals: dict[bytes, int], hashes: t
         else:
             kind = CmSketch if name == "cm" else CsSketch
             sketch = kind(BANKS * per_bank, c=BANKS, seed=config.seed)
-            estimates = _fill_hashed(sketch, totals, banks)
+            sketch.insert_many(banks, truth.totals)
+            estimates = sketch.query_many(banks)
             own_bytes = sketch.memory_bytes(config.counter_width)
             extra = {}
         extra.update(sketch_bytes=own_bytes, membership_bytes=membership_bytes)
-        rows[name] = _evaluate(name, estimates, totals, own_bytes + membership_bytes,
-                               hh_threshold, extra)
+        rows[name] = _evaluate(name, estimates, truth, own_bytes + membership_bytes, extra)
     return rows
 
 
@@ -278,14 +304,6 @@ def _lss_estimates(sketch: LssSketch, digests) -> list[float]:
     """The sketch's estimate of each key whose key_digests are given, in
     one batch read; a flow the sketch lost scores as 0."""
     return [0.0 if b is None else b[0] / b[1] for b in sketch.buckets(digests)]
-
-
-def _fill_hashed(sketch, totals: dict[bytes, int], hashes: dict):
-    """Insert every flow's exact total under its precomputed bank
-    hashes; returns the estimates in the order of totals' keys."""
-    for key, total in totals.items():
-        sketch.insert_hashed(hashes[key], total)
-    return [sketch.query_hashed(hashes[key]) for key in totals]
 
 
 _MERGE_MEAN = ("entropy_re", "cardinality_error")
@@ -425,8 +443,8 @@ def _epoch_series(config: BenchmarkConfig, epochs) -> list[dict]:
     series = []
     for epoch in epochs:
         records, totals = _epoch_records(config, epoch)
-        row = _score_fit(lss_only, fit, totals, _window_hashes(lss_only, records, totals),
-                         hh_threshold)["lss"]
+        row = _score_fit(lss_only, fit, _window_hashes(lss_only, records, totals),
+                         _window_truth(totals, hh_threshold))["lss"]
         series.append({"epoch": int(epoch), **_lss_summary(row)})
     return series
 

@@ -6,7 +6,8 @@ builtin ``hash`` is salted per process and must never be used here).
 A single keyed blake2b call per key yields enough independent bytes
 for the bucket index, the 16-bit membership fingerprint, and the
 cuckoo-table index, so the hot insert path hashes each key once.
-key_digests does the same for a batch of keys, for the batch read.
+key_digests does the same for a batch of keys, for the batch read, and
+bank_digests gives the multi-bank baselines' bank_hash of a batch.
 """
 
 import hashlib
@@ -21,6 +22,9 @@ _BANK = struct.Struct("<QB")     # index hash, sign byte
 # the same three fields as _DIGEST, read from a run of 16-byte digests
 _DIGESTS = np.dtype({"names": ["bucket", "fp", "index"], "formats": ["<u8", "<u2", "<u4"],
                      "offsets": [0, 8, 10], "itemsize": 16})
+# the same two fields as _BANK, read from a run of 9-byte digests
+_BANKS = np.dtype({"names": ["index", "sign"], "formats": ["<u8", "u1"],
+                   "offsets": [0, 8], "itemsize": 9})
 
 
 def _keyed(key: int, digest_size: int):
@@ -36,8 +40,8 @@ def _digest_template(seed: int):
 
 
 @lru_cache(maxsize=256)
-def _bank_template(bank_key: int):
-    return _keyed(bank_key, 9)
+def _bank_template(seed: int, bank: int):
+    return _keyed(seed * 0x9E3779B97F4A7C15 + bank + 1, 9)
 
 
 def key_digest(key: bytes, seed: int) -> tuple[int, int, int]:
@@ -77,10 +81,27 @@ def bank_hash(key: bytes, seed: int, bank: int) -> tuple[int, int]:
     Returns (index_hash, sign) where sign is +1 or -1; the sign stream
     is independent of the index bits.
     """
-    h = _bank_template(seed * 0x9E3779B97F4A7C15 + bank + 1).copy()
+    h = _bank_template(seed, bank).copy()
     h.update(key)
     idx, sign_byte = _BANK.unpack(h.digest())
     return idx, 1 if sign_byte & 1 else -1
+
+
+def bank_digests(keys, seed: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """bank_hash of every key in each of banks 0..c-1, as a (c, n)
+    uint64 array of index hashes and a (c, n) int64 array of +-1 signs;
+    row j, column i is bank_hash(keys[i], seed, j)."""
+    keys = list(keys)
+    digests = bytearray()
+    for bank in range(c):
+        template = _bank_template(seed, bank)
+        for key in keys:
+            h = template.copy()
+            h.update(key)
+            digests += h.digest()
+    fields = np.frombuffer(digests, dtype=_BANKS).reshape(c, len(keys))
+    signs = np.where(fields["sign"] & 1, np.int64(1), np.int64(-1))
+    return fields["index"].astype(np.uint64), signs
 
 
 def mix16(fp: int) -> int:

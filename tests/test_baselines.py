@@ -15,7 +15,8 @@ from flowsketch.baselines import (
     expected_noisy_fraction,
     noisy_fraction_monte_carlo,
 )
-from flowsketch.hashing import bank_hash
+from flowsketch.clustering import InvalidInputError
+from flowsketch.hashing import bank_digests, bank_hash
 
 
 class TestCountMin:
@@ -163,6 +164,8 @@ class TestHashedForms:
         sk = kind(30, c=3, seed=1)
         with pytest.raises(error):
             sk.insert_hashed(bank_hashes(b"x", 1, 3), value)
+        with pytest.raises(error):
+            sk.insert_many(bank_digests([b"x", b"y"], 1, 3), [5, value])
         assert all(v == 0 for bank in sk.banks for v in bank)
 
     @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
@@ -172,6 +175,14 @@ class TestHashedForms:
             sk.insert_hashed(bank_hashes(b"x", 1, 2), 5)
         with pytest.raises(ValueError):
             sk.query_hashed(bank_hashes(b"x", 1, 4))
+        sk = kind(30, c=3, seed=1)
+        with pytest.raises(ValueError):
+            sk.insert_many(bank_digests([b"x"], 1, 2), [5])
+        with pytest.raises(ValueError):
+            sk.insert_many(bank_digests([b"x"], 1, 3), [5, 6])
+        with pytest.raises(ValueError):
+            sk.query_many(bank_digests([b"x"], 1, 4))
+        assert all(v == 0 for bank in sk.banks for v in bank)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -194,6 +205,74 @@ class TestHashedForms:
             for i, total in enumerate(totals):
                 from_totals.insert_hashed(bank_hashes(b"f%d" % i, 2, 3), total)
             assert replayed.banks == from_totals.banks
+
+
+class TestBatchForms:
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(st.binary(max_size=4), max_size=25), c=st.integers(1, 5),
+           width=st.integers(1, 8), seed=st.integers(-2**65, 2**65), data=st.data())
+    def test_batch_equals_keyed(self, keys, c, width, seed, data):
+        """insert_many and query_many end where insert and query of each
+        key in turn do, on fresh counters or on counters the keyed path
+        already filled: the same banks, and estimates equal in value and
+        in type, the Count-Sketch's raw median included."""
+        values = data.draw(st.lists(st.integers(0, 2**57), min_size=len(keys),
+                                    max_size=len(keys)), label="values")
+        split = data.draw(st.integers(0, len(keys)), label="keyed first")
+        probes = keys + [b"absent"]
+        for kind in (CmSketch, CsSketch):
+            keyed, batch = kind(c * width, c=c, seed=seed), kind(c * width, c=c, seed=seed)
+            for key, value in zip(keys, values):
+                keyed.insert(key, value)
+            for key, value in zip(keys[:split], values[:split]):
+                batch.insert(key, value)
+            batch.insert_many(bank_digests(keys[split:], seed, c), values[split:])
+            assert batch.banks == keyed.banks
+            assert all(type(v) is int for bank in batch.banks for v in bank)
+            hashes = bank_digests(probes, seed, c)
+            want = [keyed.query(key) for key in probes]
+            got = batch.query_many(hashes)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            if kind is CsSketch:
+                raw = batch._raw_many(hashes).tolist()
+                assert raw == [keyed.query_raw(key) for key in probes]
+                assert all(type(v) is float for v in raw)
+
+
+@pytest.mark.parametrize("kind", [CmSketch, CsSketch])
+class TestBatchInt64Bound:
+    """insert_many refuses a batch that could take a counter to 2**63,
+    where int64 would wrap; below it the counters stay exact. Width 1
+    puts every key in the one counter of each bank."""
+    KEYS = [b"a", b"b", b"c"]
+
+    def test_sum_just_below_2_63_is_exact(self, kind):
+        values = [2**62, 2**61, 2**61 - 1]
+        keyed, batch = kind(3, c=3, seed=1), kind(3, c=3, seed=1)
+        for key, value in zip(self.KEYS, values):
+            keyed.insert(key, value)
+        batch.insert_many(bank_digests(self.KEYS, 1, 3), values)
+        assert batch.banks == keyed.banks
+        assert batch.query_many(bank_digests(self.KEYS, 1, 3)) == [keyed.query(k) for k in self.KEYS]
+
+    def test_sum_of_2_63_raises_before_any_write(self, kind):
+        sk = kind(3, c=3, seed=1)
+        with pytest.raises(InvalidInputError, match="int64"):
+            sk.insert_many(bank_digests(self.KEYS, 1, 3), [2**62, 2**61, 2**61])
+        assert sk.banks == [[0], [0], [0]]
+
+    def test_held_counters_count_toward_the_bound(self, kind):
+        sk, keyed = kind(3, c=3, seed=1), kind(3, c=3, seed=1)
+        sk.insert(b"a", 7)
+        held = [list(bank) for bank in sk.banks]
+        with pytest.raises(InvalidInputError, match="int64"):
+            sk.insert_many(bank_digests([b"b"], 1, 3), [2**63 - 7])
+        assert sk.banks == held
+        sk.insert_many(bank_digests([b"b"], 1, 3), [2**63 - 8])
+        keyed.insert(b"a", 7)
+        keyed.insert(b"b", 2**63 - 8)
+        assert sk.banks == keyed.banks
 
 
 class TestExpectedNoisyFraction:

@@ -8,6 +8,7 @@ from flowsketch.bench import (
     BenchmarkConfig,
     _evaluate,
     _lss_estimates,
+    _window_truth,
     load_records,
     report_json,
     report_table,
@@ -138,7 +139,7 @@ class TestRunBenchmark:
         def refuse(*args):
             raise AssertionError("bank hashes built for a run without baselines")
 
-        monkeypatch.setattr(bench, "bank_hashes", refuse)
+        monkeypatch.setattr(bench, "bank_digests", refuse)
         (row,) = run_benchmark(small_config(sketches=("lss",)))["rows"]
         assert row["sketch"] == "lss"
 
@@ -160,13 +161,13 @@ class TestRunBenchmark:
             sketch.query(b"lost")
         estimates = _lss_estimates(sketch, key_digests(totals, 3))
         assert estimates == [10.0, 0.0, 40.0]
-        row = _evaluate("lss", estimates, totals, 0, 15.0)
+        row = _evaluate("lss", estimates, _window_truth(totals, 15.0), 0)
         assert row["flow_size"]["mean_re"] == pytest.approx(1 / 3)  # errors 0, 1, 0
         assert row["heavy_hitters"]["recall"] == 0.5
 
     def test_zero_byte_flow_scores_without_relative_error(self):
         totals = {b"a": 10, b"empty": 0, b"c": 40}
-        row = _evaluate("lss", [10.0, 5.0, 40.0], totals, 0, 15.0)
+        row = _evaluate("lss", [10.0, 5.0, 40.0], _window_truth(totals, 15.0), 0)
         # the 0-byte flow has no relative error but still counts as a
         # flow for entropy (three distinct sizes on both sides)
         assert row["flow_size"]["mean_re"] == 0.0
@@ -177,14 +178,15 @@ class TestRunBenchmark:
         # every flow has one size, so the true entropy is 0 and the
         # entropy figure is the estimate's own entropy
         totals = dict.fromkeys((b"a", b"b", b"c", b"d"), 100)
-        assert _evaluate("cm", [100.0, 100.0, 50.0, 50.0], totals, 0, 100.0)["entropy_re"] == 1.0
-        assert _evaluate("lss", [100.0] * 4, totals, 0, 100.0)["entropy_re"] == 0.0
+        truth = _window_truth(totals, 100.0)
+        assert _evaluate("cm", [100.0, 100.0, 50.0, 50.0], truth, 0)["entropy_re"] == 1.0
+        assert _evaluate("lss", [100.0] * 4, truth, 0)["entropy_re"] == 0.0
 
     def test_total_at_threshold_is_not_a_heavy_hitter(self):
         totals = {b"a": 7, b"b": 1}
-        hh = _evaluate("lss", [7.0, 1.0], totals, 0, 2.0)["heavy_hitters"]
+        hh = _evaluate("lss", [7.0, 1.0], _window_truth(totals, 2.0), 0)["heavy_hitters"]
         assert (hh["true_count"], hh["f1"]) == (1, 1.0)
-        hh = _evaluate("lss", [7.0, 1.0], totals, 0, 7.0)["heavy_hitters"]
+        hh = _evaluate("lss", [7.0, 1.0], _window_truth(totals, 7.0), 0)["heavy_hitters"]
         assert (hh["true_count"], hh["f1"]) == (0, 1.0)
 
     def test_uniform_trace_runs(self, tmp_path):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from flowsketch.hashing import bank_hash, key_digest, key_digests, mix16
+from flowsketch.hashing import bank_digests, bank_hash, key_digest, key_digests, mix16
 
 SEEDS = (0, 1, -3, 2**70)
 KEYS = (b"", b"a", bytes(13), b"\x0a\x00\x00\x01\xc0\xa8\x00\x02\x04\x00\x00\x50\x06", b"x" * 300)
@@ -49,6 +49,24 @@ def test_key_digests_match_key_digest(seed):
 
 def test_key_digests_of_no_keys():
     assert [a.tolist() for a in key_digests([], 3)] == [[], [], []]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_bank_digests_match_bank_hash(seed, c):
+    keys = list(KEYS) + [f"k{i}".encode() for i in range(100)] + [b"a"]
+    indices, signs = bank_digests(keys, seed, c)
+    assert (indices.dtype, signs.dtype) == (np.uint64, np.int64)
+    assert indices.shape == signs.shape == (c, len(keys))
+    assert [list(zip(*rows)) for rows in zip(indices.tolist(), signs.tolist())] == [
+        [bank_hash(key, seed, j) for key in keys] for j in range(c)]
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_bank_digests_of_no_keys(c):
+    indices, signs = bank_digests([], 3, c)
+    assert indices.shape == signs.shape == (c, 0)
+    assert (indices.dtype, signs.dtype) == (np.uint64, np.int64)
 
 
 def test_mix16_on_arrays_equals_scalar():
