@@ -64,10 +64,13 @@ class _Banks:
         return self.c * self.width * (counter_width // 8)
 
     def insert_hashed(self, hashes, value: int) -> None:
-        """insert() with the key's bank_hashes() already computed."""
+        """insert() with the key's bank_hashes() already computed; hashes
+        for another bank count raise ValueError before any write."""
         value = int_value(value)
+        if len(hashes) != self.c:
+            raise ValueError(f"bank hashes for {len(hashes)} banks, the sketch has {self.c}")
         width, signed = self.width, self.signed
-        for bank, (idx, sign) in zip(self.banks, hashes, strict=True):
+        for bank, (idx, sign) in zip(self.banks, hashes):
             bank[idx % width] += sign * value if signed else value
 
     def _reads(self, hashes) -> list[int]:

@@ -169,6 +169,16 @@ class TestHashedForms:
         assert all(v == 0 for bank in sk.banks for v in bank)
 
     @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
+    @pytest.mark.parametrize("banks", [2, 4], ids=["short", "long"])
+    def test_insert_hashed_for_another_bank_count_writes_nothing(self, kind, banks):
+        sk = kind(30, c=3, seed=1)
+        sk.insert(b"held", 7)
+        before = [list(bank) for bank in sk.banks]
+        with pytest.raises(ValueError, match="bank hashes for"):
+            sk.insert_hashed(bank_hashes(b"x", 1, banks), 5)
+        assert sk.banks == before
+
+    @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
     def test_hashes_for_another_bank_count_rejected(self, kind):
         sk = kind(30, c=3, seed=1)
         with pytest.raises(ValueError):

@@ -811,12 +811,12 @@ class TestPinnedOutputs:
 
     PINS = {
         "sequence": {
-            "payloads": "8625508bd03eda7bf82db63ac980f62bbc9c209ceed8240ce1448d69b1ae85bb",
-            "reports": "b037e957f892cacb2db1bc6e633c45ec8b640dcbe4bf94d78da41aad5cbf7c1f",
+            "payloads": "7b6e477b9e523021b3551f8be861cc3819366c3c71b8e1f6e0a9e6a6f7cb3650",
+            "reports": "4a2e7622a92beb8bfc2a20d98a7e14d92128545954bcf78aa22ff33df895c30b",
         },
         "time": {
-            "payloads": "bbf0ebbe2128c3ba79b98e38965eae3f4423bf501a2f00faf5fe2f74842d7a7a",
-            "reports": "0863a1161900c732ee613b4a6bc6ee8465a0d6d3aae0fa490ec07d78f3b8b0af",
+            "payloads": "a55c12d7d6238d8e11265b8dcfa6c2d94291b072b8f5111b733147203325d0e4",
+            "reports": "e9beaa8464588680fd563df8fffdf98671f67469547f19eb6eba39b715f472e6",
         },
     }
 

@@ -1,9 +1,15 @@
 import hashlib
+import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch.traces import (
+    _split_flows,
     format_ip,
     gen_trace,
     gen_uniform_trace,
@@ -39,13 +45,13 @@ class TestGenTrace:
         assert a.read_bytes() != c.read_bytes()
 
     def test_pinned_bytes(self, tmp_path):
-        # digests of the CSVs written before the generator moved its
-        # per-flow splitting from numpy arrays to Python lists
+        # digests of the CSVs the generator writes since its draws
+        # became vector calls
         zipf = gen_trace(7, 300, 1.1, 4.0, str(tmp_path / "zipf.csv"))
         uniform = gen_uniform_trace(7, 40, 3, 64, str(tmp_path / "uniform.csv"))
         digest = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (zipf, uniform)}
-        assert digest[zipf] == "093881faa18178ad22f488a34c25c8bf5879d779ee80ec4dbec3998697ee64e2"
-        assert digest[uniform] == "e8f5e60523585cb5fbaeb1c5388adab72b49a15758f9ea814d350edaf82d7f2d"
+        assert digest[zipf] == "5063b0827603084b5d10294e97abf7dbdb899aa700813f0a35edfcbbdc3790b4"
+        assert digest[uniform] == "4066567e0c5c7b96b52bdf3ad3006896c88ff62a2a6766026e2b09c0a8d810ec"
 
     def test_single_flow(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -84,6 +90,84 @@ class TestGenTrace:
         for p in packets:
             seen[p.key] = seen.get(p.key, 0) + p.size_bytes
         assert seen == totals
+
+
+def check_trace_contract(packets, totals, concurrency):
+    """The generator's contract, for a trace and the totals it reports:
+    flows conserve their totals in 1..total parts of at least 1, keys
+    are distinct 13-byte strings, timestamps step by [100, 1000), at
+    most `concurrency` flows are in flight, and every figure is a
+    Python int."""
+    assert all(type(k) is bytes and len(k) == 13 for k in totals)
+    assert all(type(v) is int for v in totals.values())
+    parts: dict[bytes, list[int]] = {}
+    first, last = {}, {}
+    for i, p in enumerate(packets):
+        assert type(p.size_bytes) is int and type(p.ts_ns) is int
+        parts.setdefault(p.key, []).append(p.size_bytes)
+        first.setdefault(p.key, i)
+        last[p.key] = i
+    assert parts.keys() == totals.keys()
+    for key, sizes in parts.items():
+        assert sum(sizes) == totals[key]
+        assert min(sizes) >= 1 and len(sizes) <= totals[key]
+    steps = np.diff([0] + [p.ts_ns for p in packets])
+    assert steps.min() >= 100 and steps.max() < 1000
+    # +1 where a flow enters, -1 after its last packet
+    events = np.zeros(len(packets) + 1, dtype=np.int64)
+    np.add.at(events, list(first.values()), 1)
+    np.add.at(events, [i + 1 for i in last.values()], -1)
+    assert np.cumsum(events).max() <= concurrency
+
+
+class TestGeneratorContract:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 300),
+           v_max=st.integers(1, 2_000), mean_packets=st.floats(0.0, 40.0),
+           concurrency=st.integers(1, 300))
+    def test_generate_packets(self, seed, n_flows, v_max, mean_packets, concurrency):
+        packets, totals = generate_packets(seed, n_flows, 1.1, mean_packets,
+                                           v_max=v_max, concurrency=concurrency)
+        assert len(totals) == n_flows
+        assert all(1 <= v <= v_max for v in totals.values())
+        check_trace_contract(packets, totals, concurrency)
+        assert generate_packets(seed, n_flows, 1.1, mean_packets,
+                                v_max=v_max, concurrency=concurrency) == (packets, totals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_flows=st.integers(1, 200),
+           packets_per_flow=st.integers(1, 20), packet_bytes=st.integers(1, 1500),
+           concurrency=st.integers(1, 300))
+    def test_uniform_packets(self, seed, n_flows, packets_per_flow, packet_bytes, concurrency):
+        packets = uniform_packets(seed, n_flows, packets_per_flow, packet_bytes,
+                                  concurrency=concurrency)
+        assert len(packets) == n_flows * packets_per_flow
+        assert {p.size_bytes for p in packets} == {packet_bytes}
+        totals = dict.fromkeys((p.key for p in packets), packets_per_flow * packet_bytes)
+        assert len(totals) == n_flows
+        check_trace_contract(packets, totals, concurrency)
+        assert uniform_packets(seed, n_flows, packets_per_flow, packet_bytes,
+                               concurrency=concurrency) == packets
+
+    def test_wide_support_conserves_totals_quickly(self):
+        start = time.perf_counter()
+        packets, totals = generate_packets(4, 2_000, 1.1, 4.0, v_max=100_000)
+        elapsed = time.perf_counter() - start
+        assert max(totals.values()) > 10_000
+        check_trace_contract(packets, totals, 256)
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("count", [3, 5], ids=["drawn", "skipped"])
+    def test_cut_points_are_a_uniform_subset(self, count):
+        # a size-6 flow cut into `count` parts: every set of count - 1
+        # cut points out of 1..5 is equally likely
+        n = 20_000
+        parts = _split_flows(np.random.default_rng(6), np.full(n, 6), np.full(n, count))
+        cuts = Counter(tuple(np.cumsum(row[:-1]).tolist())
+                       for row in parts.reshape(n, count).tolist())
+        expected = n / math.comb(5, count - 1)
+        assert len(cuts) == math.comb(5, count - 1)
+        assert all(abs(c - expected) < 0.1 * expected for c in cuts.values())
 
 
 class TestUniformTrace:

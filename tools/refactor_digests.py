@@ -5,7 +5,7 @@ leaves them byte-identical.
 
 Runs the CLI in-process in a temporary directory and prints one
 ``sha256  name`` line per output: the fixed-seed bench reports at seed
-1 and at seed 90 (whose clustered-sketch fill lands increments on a
+1 and at seed 598 (whose clustered-sketch fill lands increments on a
 fingerprint-merged flow), the five sensitivity sweeps, the model
 `train` writes for a generated trace, the `pipeline` summary, every
 stored sketch payload, the five query reports over that store, and
@@ -30,8 +30,8 @@ from flowsketch.bench import SENSITIVITY_AXES
 from flowsketch.pipeline import QUERY_TASKS, SketchStore
 
 
-# nanoseconds: more than the 15,564 flows the m = 1,000 table takes
-# arrive in the first window of the seed-5 trace
+# nanoseconds: 17,042 flows, more than the 15,564 the m = 1,000 table
+# takes, arrive in the first window of the seed-5 trace
 TIME_WINDOW_NS = 25_000_000
 
 
@@ -60,7 +60,7 @@ def digests(work: str) -> list[tuple[str, str]]:
             return fh.read()
 
     rows = []
-    for seed in ("1", "90"):
+    for seed in ("1", "598"):
         _cli("bench", "--ratios", "0.001", "0.01", "0.1", "--seed", seed,
              "--out", path("bench.json"))
         rows.append((_sha(read("bench.json")), f"bench --ratios 0.001 0.01 0.1 --seed {seed}"))
