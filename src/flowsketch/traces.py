@@ -31,7 +31,8 @@ _KEY = struct.Struct("!IIHHB")
 # the same 13-byte layout as a numpy record, for keys built in bulk
 _KEY_DTYPE = np.dtype([("src", ">u4"), ("dst", ">u4"), ("sport", ">u2"),
                        ("dport", ">u2"), ("proto", "u1")])
-# flows split, and packets interleaved, per batch of draws
+# flows split, and packets interleaved, per batch of draws, so the split's
+# sorted cut arrays and the picks' float lists hold one batch, not the trace
 _FLOW_CHUNK = 1024
 _PACKET_CHUNK = 4096
 _NOT_DIGIT_OR_DOT = re.compile(r"[^0-9.]")
