@@ -19,8 +19,7 @@ from math import gcd
 from .bus import TopicBus
 from .clustering import ClusterModel, InvalidInputError
 from .hashing import key_digests
-from .lss import BucketUnderflowError, LssSketch
-from .membership import TableFullError
+from .lss import LssSketch
 from .metrics import entropy_of_values
 from .traces import TracePacket
 
@@ -44,6 +43,8 @@ class WindowConfig:
     def __post_init__(self):
         if self.mode not in ("sequence", "time"):
             raise InvalidInputError(f"unknown window mode {self.mode!r}")
+        if not isinstance(self.capacity, int) or isinstance(self.capacity, bool):
+            raise InvalidInputError(f"window capacity must be an int, not {self.capacity!r}")
         if self.capacity <= 0:
             raise InvalidInputError("window capacity must be positive")
 
@@ -178,37 +179,24 @@ class SketchingStage:
             return (ts // self.window.capacity) * self.window.capacity
         return ts
 
-    def feed(self, key: bytes, value: int, ts: int = 0) -> SketchEnvelope | None:
-        """Insert one flow record; returns the closed window's envelope
-        when this record completes or rolls a window."""
-        envelope = None
-        if self._window_start is None:
-            self._window_start = self._window_start_of(ts)
-        elif self.window.mode == "time" and ts >= self._window_start + self.window.capacity:
-            envelope = self._rotate(self._window_start_of(ts))
-        self._last_ts = ts
-        try:
-            self._sketch.insert_duplicate(key, value)
-        except BucketUnderflowError:
-            # fingerprint-merged flows stay merged; accounted, not fatal
-            self.merged_flow_events += 1
-        except TableFullError:
-            envelope = self._rotate_early(ts)
-            self._sketch.insert_duplicate(key, value)
-        if (envelope is None and self.window.mode == "sequence"
-                and self._sketch.membership.occupied >= self.window.capacity):
-            envelope = self._rotate(None)
-        return envelope
-
     def feed_batch(self, batch: FlowletBatch) -> list[SketchEnvelope]:
-        """feed() of each of the batch's records in order, with the same
-        envelopes and end state, through LssSketch.insert_many: one pass
-        per run of records that one window takes, under one key_digests
-        of the batch's keys. Every record carries the batch's stamp, so
-        the time roll-over is checked once. The record that finds a table
-        full opens the next window's run; one record leaves a fresh
-        window below its capacity (a one-flow window's table never fills),
-        so the window-size check that feed() skips after it cannot fire."""
+        """Fold the batch's records, in order, into the open window and
+        return the envelopes of the windows they close, oldest first.
+
+        Every record carries the batch's stamp, emitted_at. A time window
+        whose slot the stamp has passed closes before the first record,
+        and the next one starts at the stamp's slot. A sequence window
+        closes after the record that brings it to capacity flows, and the
+        next one opens at its first record. A record that finds the
+        membership table full closes the window early, with a warning,
+        and opens the next one. An increment on a fingerprint-merged flow
+        is counted in merged_flow_events, not raised. An empty batch
+        opens no window.
+
+        The records go through LssSketch.insert_many, one pass per run
+        of records that one window takes, under one key_digests of the
+        batch's keys; the end state is that of LssSketch.insert_duplicate
+        of each record in turn."""
         records, ts = batch.records, batch.emitted_at
         if not records:
             return []
@@ -231,17 +219,12 @@ class SketchingStage:
             self.merged_flow_events += merged
             done += consumed
             if full:
-                envelopes.append(self._rotate_early(ts))
+                log.warning("membership table full on %s window %d; rotating early",
+                            self.source, self._window_id)
+                envelopes.append(self._rotate(self._window_start_of(ts)))
             elif sequence and table.occupied >= self.window.capacity:
                 envelopes.append(self._rotate(None))
         return envelopes
-
-    def _rotate_early(self, ts: int) -> SketchEnvelope:
-        """Close a window whose membership table is full; the record at ts
-        that found it full opens the next one."""
-        log.warning("membership table full on %s window %d; rotating early",
-                    self.source, self._window_id)
-        return self._rotate(self._window_start_of(ts))
 
     def flush(self) -> SketchEnvelope | None:
         """Close the open window even if it is not full; None if empty."""
@@ -278,8 +261,14 @@ class SketchStore:
         """Write the envelope; an unstamped envelope (arrival_ts 0) is
         stamped with the current time first. The store holds one
         envelope per source and window id: putting a second raises
-        FileExistsError and writes nothing."""
-        name = f"{envelope.source}_{envelope.window_id:08d}.env"
+        FileExistsError and writes nothing. A source that is not a plain
+        file-name part (empty, "." or "..", or holding a path separator
+        or NUL) raises InvalidInputError before anything is written."""
+        source = envelope.source
+        if (source in ("", ".", "..")
+                or any(sep and sep in source for sep in ("/", os.sep, os.altsep, "\0"))):
+            raise InvalidInputError(f"envelope source {source!r} is not a file-name part")
+        name = f"{source}_{envelope.window_id:08d}.env"
         path = os.path.join(self.root, name)
         if os.path.exists(path):
             raise FileExistsError(f"store {self.root} already holds {name}")

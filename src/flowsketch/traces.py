@@ -75,6 +75,8 @@ def zipf_values(rng: np.random.Generator, n: int, s: float, v_max: int = 32) -> 
     """
     if s <= 0:
         raise ValueError("zipf exponent must be positive")
+    if v_max < 1:
+        raise ValueError(f"largest flow size must be at least 1, not {v_max}")
     support = np.arange(1, v_max + 1, dtype=np.float64)
     weights = support ** (-s)
     cdf = np.cumsum(weights)
@@ -181,9 +183,12 @@ def generate_packets(seed: int, n_flows: int, zipf_s: float, mean_packets: float
                      v_max: int = 32, concurrency: int = 256,
                      ) -> tuple[list[TracePacket], dict[bytes, int]]:
     """Build the packet list and the exact per-flow totals. A flow of
-    size s has min(s, max(1, Poisson(mean_packets))) packets."""
+    size s has min(s, max(1, Poisson(mean_packets))) packets. n_flows,
+    v_max or concurrency below 1 raises ValueError before any draw."""
     if n_flows <= 0:
         raise ValueError("n_flows must be positive")
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be at least 1, not {concurrency}")
     rng = np.random.default_rng(seed)
     sizes = zipf_values(rng, n_flows, zipf_s, v_max)
     keys = _random_flow_keys(rng, n_flows)
@@ -209,7 +214,10 @@ def gen_trace(seed: int, n_flows: int, zipf_s: float, mean_packets: float,
 def uniform_packets(seed: int, n_flows: int, packets_per_flow: int,
                     packet_bytes: int, concurrency: int = 256) -> list[TracePacket]:
     """Packets of identical flows (fixed packet count and size), used to
-    measure flowlet traffic reduction at a known operating point."""
+    measure flowlet traffic reduction at a known operating point. A
+    concurrency below 1 raises ValueError."""
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be at least 1, not {concurrency}")
     rng = np.random.default_rng(seed)
     keys = _random_flow_keys(rng, n_flows)
     return _interleave(rng, [packet_bytes] * (n_flows * packets_per_flow),

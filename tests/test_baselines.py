@@ -11,7 +11,6 @@ from flowsketch.baselines import (
     CsSketch,
     DenseMapping,
     autoencoder_oracle,
-    bank_hashes,
     expected_noisy_fraction,
     noisy_fraction_monte_carlo,
 )
@@ -136,55 +135,63 @@ class TestHashedForms:
     @pytest.mark.parametrize("seed", [0, 1, -3, 2**70])
     @pytest.mark.parametrize("c", [1, 3, 4])
     def test_bank_hashes_are_per_bank_hashes(self, seed, c):
+        """The keyed insert adds at the key's bank_hash(key, seed, j)
+        index in bank j, signed in a Count-Sketch."""
         for key in self.KEYS:
-            assert bank_hashes(key, seed, c) == tuple(bank_hash(key, seed, j) for j in range(c))
+            for kind in (CmSketch, CsSketch):
+                sk = kind(7 * c, c=c, seed=seed)
+                sk.insert(key, 5)
+                for j, bank in enumerate(sk.banks):
+                    idx, sign = bank_hash(key, seed, j)
+                    want = [0] * sk.width
+                    want[idx % sk.width] = sign * 5 if kind is CsSketch else 5
+                    assert bank == want
 
     @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
     def test_keyed_forms_equal_hashed_forms(self, kind):
+        """insert and query agree with counters the test keeps from
+        bank_hash itself: the minimum, or the lower median of the
+        sign-corrected reads, of the key's counter in each bank."""
         rng = np.random.default_rng(8)
-        by_key, hashed = kind(60, c=3, seed=5), kind(60, c=3, seed=5)
+        sk = kind(60, c=3, seed=5)
+        want = [[0] * sk.width for _ in range(3)]
         keys = [f"k{i}".encode() for i in range(40)]
+        signed = kind is CsSketch
         for _ in range(300):
             key = keys[int(rng.integers(len(keys)))]
             value = int(rng.integers(0, 100))
-            by_key.insert(key, value)
-            hashed.insert_hashed(bank_hashes(key, 5, 3), value)
-        assert by_key.banks == hashed.banks
+            sk.insert(key, value)
+            for j in range(3):
+                idx, sign = bank_hash(key, 5, j)
+                want[j][idx % sk.width] += sign * value if signed else value
+        assert sk.banks == want
         for key in keys + [b"absent"]:
-            hashes = bank_hashes(key, 5, 3)
-            assert by_key.query(key) == hashed.query_hashed(hashes)
-            if kind is CsSketch:
-                assert by_key.query_raw(key) == hashed.query_raw_hashed(hashes)
+            reads = []
+            for j in range(3):
+                idx, sign = bank_hash(key, 5, j)
+                reads.append(sign * want[j][idx % sk.width] if signed else want[j][idx % sk.width])
+            if signed:
+                assert sk.query_raw(key) == float(sorted(reads)[1])
+                assert sk.query(key) == max(0.0, float(sorted(reads)[1]))
+            else:
+                assert sk.query(key) == min(reads)
 
     @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
     @pytest.mark.parametrize("value, error", [(-1, ValueError), (1.0, TypeError),
                                               (2.5, TypeError), (True, TypeError),
                                               (False, TypeError)])
     def test_insert_hashed_validates_values(self, kind, value, error):
+        """The keyed insert and the batch insert of bank_digests reject
+        a bad value before any write."""
         sk = kind(30, c=3, seed=1)
         with pytest.raises(error):
-            sk.insert_hashed(bank_hashes(b"x", 1, 3), value)
+            sk.insert(b"x", value)
         with pytest.raises(error):
             sk.insert_many(bank_digests([b"x", b"y"], 1, 3), [5, value])
         assert all(v == 0 for bank in sk.banks for v in bank)
 
     @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
-    @pytest.mark.parametrize("banks", [2, 4], ids=["short", "long"])
-    def test_insert_hashed_for_another_bank_count_writes_nothing(self, kind, banks):
-        sk = kind(30, c=3, seed=1)
-        sk.insert(b"held", 7)
-        before = [list(bank) for bank in sk.banks]
-        with pytest.raises(ValueError, match="bank hashes for"):
-            sk.insert_hashed(bank_hashes(b"x", 1, banks), 5)
-        assert sk.banks == before
-
-    @pytest.mark.parametrize("kind", [CmSketch, CsSketch])
     def test_hashes_for_another_bank_count_rejected(self, kind):
-        sk = kind(30, c=3, seed=1)
-        with pytest.raises(ValueError):
-            sk.insert_hashed(bank_hashes(b"x", 1, 2), 5)
-        with pytest.raises(ValueError):
-            sk.query_hashed(bank_hashes(b"x", 1, 4))
         sk = kind(30, c=3, seed=1)
         with pytest.raises(ValueError):
             sk.insert_many(bank_digests([b"x"], 1, 2), [5])
@@ -213,7 +220,7 @@ class TestHashedForms:
             for key, piece in fragments:
                 replayed.insert(key, piece)
             for i, total in enumerate(totals):
-                from_totals.insert_hashed(bank_hashes(b"f%d" % i, 2, 3), total)
+                from_totals.insert(b"f%d" % i, total)
             assert replayed.banks == from_totals.banks
 
 

@@ -46,6 +46,17 @@ class TestGen:
         assert argv[-2] in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--max-size", "0"), "largest flow size must be at least 1, not 0"),
+        (("--concurrency", "0"), "concurrency must be at least 1, not 0"),
+        (("--uniform", "--concurrency", "-2"), "concurrency must be at least 1, not -2"),
+    ], ids=["max-size", "concurrency", "uniform-concurrency"])
+    def test_degenerate_size_rejected(self, tmp_path, argv, message, capsys):
+        path = tmp_path / "t.csv"
+        assert run_cli("gen", path, "--flows", 20, *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
 
 class TestTrain:
     def test_writes_model_json(self, tmp_path):

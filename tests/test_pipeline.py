@@ -50,6 +50,14 @@ def pkt(key, size, ts=0):
     return TracePacket(key=key, size_bytes=size, ts_ns=ts)
 
 
+def feed(stage, key, value, ts=0):
+    """Feed one record to the stage as a one-record batch stamped ts;
+    the envelope of the window it closes, or None."""
+    envelopes = stage.feed_batch(FlowletBatch(((key, value),), 0, ts))
+    assert len(envelopes) <= 1
+    return envelopes[0] if envelopes else None
+
+
 def store_windows(tmp_path, sketches):
     """Store each sketch, squeezed as a closed window ships, as the next
     window of source src-a."""
@@ -161,11 +169,17 @@ class TestIngestStage:
 
 
 class TestSketchingStage:
+    @pytest.mark.parametrize("mode", ["sequence", "time"])
+    @pytest.mark.parametrize("capacity", [1.5, 2.0, True, "3", np.int64(4)])
+    def test_window_capacity_must_be_an_int(self, mode, capacity):
+        with pytest.raises(InvalidInputError, match="window capacity must be an int"):
+            WindowConfig(mode, capacity)
+
     def test_sequence_window_emits_at_capacity(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 3))
-        assert stage.feed(b"a", 5, ts=1) is None
-        assert stage.feed(b"b", 6, ts=2) is None
-        env = stage.feed(b"c", 7, ts=3)
+        assert feed(stage, b"a", 5, ts=1) is None
+        assert feed(stage, b"b", 6, ts=2) is None
+        env = feed(stage, b"c", 7, ts=3)
         assert env is not None
         sketch = env.sketch()
         assert sketch.cardinality() == 3
@@ -175,7 +189,7 @@ class TestSketchingStage:
     def test_fragmented_flow_counts_once(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 3))
         for i in range(10):
-            assert stage.feed(b"same", 1, ts=i) is None
+            assert feed(stage, b"same", 1, ts=i) is None
         env = stage.flush()
         assert env.sketch().cardinality() == 1
         assert env.sketch().total_value() == 10
@@ -184,8 +198,8 @@ class TestSketchingStage:
         second = 1_000_000_000
         stage = SketchingStage(small_model(), 8, WindowConfig("time", second))
         for i, ts in enumerate(range(100_000_000, 1_000_000_000, 100_000_000)):
-            assert stage.feed(f"k{i}".encode(), 4, ts=ts) is None
-        env = stage.feed(b"late", 4, ts=1_200_000_000)
+            assert feed(stage, f"k{i}".encode(), 4, ts=ts) is None
+        env = feed(stage, b"late", 4, ts=1_200_000_000)
         assert env is not None
         assert env.window_start == 0
         assert env.window_end == second
@@ -195,15 +209,15 @@ class TestSketchingStage:
 
     def test_envelope_membership_squeezed(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 2))
-        stage.feed(b"a", 5, ts=1)   # cluster 0
-        env = stage.feed(b"b", 26, ts=2)  # different cluster
+        feed(stage, b"a", 5, ts=1)   # cluster 0
+        env = feed(stage, b"b", 26, ts=2)  # different cluster
         sketch = env.sketch()
         assert sketch.membership.squeezed
         assert sketch.query(b"a") == 5.0
 
     def test_window_ids_increment(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
-        ids = [stage.feed(f"k{i}".encode(), 2, ts=i).window_id
+        ids = [feed(stage, f"k{i}".encode(), 2, ts=i).window_id
                for i in range(4)]
         assert ids == [0, 1, 2, 3]
 
@@ -212,16 +226,16 @@ def envelope_fields(envelopes):
     return [(e.payload, e.source, e.window_id, e.window_start, e.window_end) for e in envelopes]
 
 
-def assert_feed_batch_matches_feed(window, m, batches):
-    """feed_batch over each batch emits what feed emits over the
-    batch's records, and leaves the stage where feed leaves it."""
+def assert_batches_match_single_records(window, m, batches):
+    """feed_batch over each batch emits what one-record batches of the
+    batch's records emit, and leaves the stage where they leave it."""
     batch_stage, loop_stage = (SketchingStage(small_model(2), m, window, hash_seed=5)
                                for _ in range(2))
     got, want = [], []
     for records, ts in batches:
         got += batch_stage.feed_batch(FlowletBatch(tuple(records), 0, ts))
         for key, value in records:
-            env = loop_stage.feed(key, value, ts=ts)
+            env = feed(loop_stage, key, value, ts=ts)
             if env is not None:
                 want.append(env)
     assert batch_stage.merged_flow_events == loop_stage.merged_flow_events
@@ -235,22 +249,22 @@ def assert_feed_batch_matches_feed(window, m, batches):
 class TestFeedBatch:
     def test_sequence_window_rotates_mid_batch(self):
         records = [(f"s{i}".encode(), i) for i in range(8)] + [(b"s1", 40)]
-        envelopes = assert_feed_batch_matches_feed(WindowConfig("sequence", 3), 4,
-                                                   [(records, 7), (records[:2], 9)])
+        envelopes = assert_batches_match_single_records(WindowConfig("sequence", 3), 4,
+                                                        [(records, 7), (records[:2], 9)])
         assert [e.sketch().cardinality() for e in envelopes[:2]] == [3, 3]
 
     def test_time_window_rolls_over_at_the_batch(self):
         window = WindowConfig("time", 100)
         batches = [([(b"a", 5), (b"b", 6)], 10), ([(b"a", 50)], 99), ([(b"c", 7), (b"a", 1)], 250)]
-        envelopes = assert_feed_batch_matches_feed(window, 4, batches)
+        envelopes = assert_batches_match_single_records(window, 4, batches)
         assert [(e.window_start, e.window_end) for e in envelopes] == [(0, 100), (200, 300)]
 
     def test_full_table_rotates_early_mid_batch(self, caplog):
         # a time window at m = 2 sizes its table for 20 flows (30 fit)
         records = [(f"f{i}".encode(), 3) for i in range(70)]
         with caplog.at_level(logging.WARNING):
-            envelopes = assert_feed_batch_matches_feed(WindowConfig("time", 1 << 62), 2,
-                                                       [(records, 1)])
+            envelopes = assert_batches_match_single_records(WindowConfig("time", 1 << 62), 2,
+                                                            [(records, 1)])
         assert len(envelopes) >= 3
         assert any("rotating early" in r.message for r in caplog.records)
 
@@ -269,16 +283,16 @@ class TestFeedBatch:
     def test_any_batches_match_feed(self, batches, window, m):
         # stamps only grow, as the ingest stage's do
         stamps = list(itertools.accumulate(ts for _, ts in batches))
-        assert_feed_batch_matches_feed(window, m, [(records, ts) for (records, _), ts
-                                                   in zip(batches, stamps)])
+        assert_batches_match_single_records(window, m, [(records, ts) for (records, _), ts
+                                                        in zip(batches, stamps)])
 
 
 class TestEnvelope:
     def test_round_trip(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 2),
                                source="src-7")
-        stage.feed(b"a", 5, ts=10)
-        env = stage.feed(b"b", 26, ts=11)
+        feed(stage, b"a", 5, ts=10)
+        env = feed(stage, b"b", 26, ts=11)
         env.arrival_ts = 12345
         back = SketchEnvelope.from_bytes(env.to_bytes())
         assert back.source == "src-7"
@@ -292,7 +306,7 @@ class TestEnvelope:
 
     def test_trailing_bytes_rejected(self):
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
-        env = stage.feed(b"a", 5, ts=1)
+        env = feed(stage, b"a", 5, ts=1)
         with pytest.raises(ValueError, match="trailing"):
             SketchEnvelope.from_bytes(env.to_bytes() + b"xx")
 
@@ -303,7 +317,7 @@ class TestSketchStore:
                                source=source)
         envs = []
         for i in range(count):
-            env = stage.feed(f"k{i}".encode(), 9, ts=i)
+            env = feed(stage, f"k{i}".encode(), 9, ts=i)
             env.arrival_ts = (i + 1) * 100
             store.put(env)
             envs.append(env)
@@ -319,12 +333,12 @@ class TestSketchStore:
     def test_put_stamps_only_an_unstamped_envelope(self, tmp_path):
         store = SketchStore(str(tmp_path / "store"))
         stage = SketchingStage(small_model(), 8, WindowConfig("sequence", 1))
-        fresh = stage.feed(b"a", 5, ts=1)
+        fresh = feed(stage, b"a", 5, ts=1)
         assert fresh.arrival_ts == 0
         before = time.time_ns()
         store.put(fresh)
         assert before <= fresh.arrival_ts <= time.time_ns()
-        stamped = stage.feed(b"b", 6, ts=2)
+        stamped = feed(stage, b"b", 6, ts=2)
         stamped.arrival_ts = 7
         store.put(stamped)
         assert [e.window_id for e in store.range(0, 7)] == [1]
@@ -336,6 +350,17 @@ class TestSketchStore:
         with pytest.raises(FileExistsError, match="s_00000000.env"):
             self.put_envelopes(store, 1)
         assert len(store.range(0, 10_000)) == 1
+
+    @pytest.mark.parametrize("source", ["../x", "a/b", "", ".", "..", "a\0b"])
+    def test_source_that_is_not_a_file_name_part_refused(self, tmp_path, source):
+        store = SketchStore(str(tmp_path / "store"))
+        env = SketchEnvelope(payload=b"", source=source, window_id=0,
+                             window_start=0, window_end=0, arrival_ts=1)
+        with pytest.raises(InvalidInputError, match="not a file-name part"):
+            store.put(env)
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("store")]
+        env.source = "src-0"
+        assert store.put(env) == str(tmp_path / "store" / "src-0_00000000.env")
 
     def test_range_bounds_validated(self, tmp_path):
         store = SketchStore(str(tmp_path / "store"))
@@ -445,8 +470,8 @@ class TestNetworkWideQuery:
         items = list(flows.items())
         ts = 100
         for (k1, v1), (k2, v2) in (items[:2], items[2:]):
-            stage.feed(k1, v1, ts=ts)
-            env = stage.feed(k2, v2, ts=ts + 1)
+            feed(stage, k1, v1, ts=ts)
+            env = feed(stage, k2, v2, ts=ts + 1)
             env.arrival_ts = ts
             store.put(env)
             ts += 100
@@ -755,7 +780,7 @@ class TestEndToEnd:
         envelopes = []
         shadow_states = []
         for i, p in enumerate(packets):
-            env = stage.feed(p.key, p.size_bytes, ts=i)
+            env = feed(stage, p.key, p.size_bytes, ts=i)
             shadow.insert_duplicate(p.key, p.size_bytes)
             if env is not None:
                 envelopes.append(env)
